@@ -1,11 +1,16 @@
-"""Experiment report records: paper-expected vs measured.
+"""Experiment report records and the campaign-report skeleton.
 
 The benchmark harness prints one :class:`Experiment` per paper table or
 figure; EXPERIMENTS.md is the curated collection of these reports.
+Every campaign family (faults, machine faults, churn, attacks) writes
+its JSON report through :func:`campaign_report` and :func:`write_json`.
 """
 
 from __future__ import annotations
 
+import json
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -52,3 +57,44 @@ def print_experiment(experiment: Experiment) -> None:
     print()
     print(experiment.render())
     print()
+
+
+def campaign_report(
+    fmt: str,
+    head: Dict[str, object],
+    results: Sequence[object],
+    units: Sequence[object],
+    units_key: str = "matrices",
+    tail: Optional[Dict[str, object]] = None,
+    contract_names: Optional[Sequence[str]] = None,
+) -> Dict[str, object]:
+    """The shared campaign-report layout.
+
+    ``format``, the family's ``head`` totals, the contract counts summed
+    over every campaign ``result``, the unwaived-violation total, the
+    family's ``tail`` totals, then one dict per report ``unit`` under
+    ``units_key``.  With ``contract_names`` every contract is listed in
+    that order (zero when it never fired); without, the summed counts
+    are listed sorted by name.
+    """
+    contracts: "Counter[str]" = Counter()
+    for result in results:
+        contracts.update(result.contract_counts)
+    payload: Dict[str, object] = {"format": fmt}
+    payload.update(head)
+    payload["contract_counts"] = (
+        dict(sorted(contracts.items())) if contract_names is None
+        else {name: contracts.get(name, 0) for name in contract_names})
+    payload["unwaived_contract_violations"] = sum(
+        result.unwaived_contract_violations for result in results)
+    payload.update(tail or {})
+    payload[units_key] = [unit.to_dict() for unit in units]
+    return payload
+
+
+def write_json(payload: Dict[str, object], path: str) -> Dict[str, object]:
+    """Write a report as indented JSON, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+    return payload

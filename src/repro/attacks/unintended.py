@@ -42,8 +42,6 @@ execution; any unwaived contract violation fails the campaign.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -359,36 +357,37 @@ def run_unintended_campaigns(
     jobs: int = 1,
     contracts: bool = True,
 ) -> List[AttackCampaignResult]:
-    """Run one campaign per seed, optionally on a process pool.
+    """Run one campaign per seed, in order of ``seeds``.
 
-    Each seed is self-contained and results are ordered by the ``seeds``
-    argument, so the merged report is byte-identical for any ``jobs``.
+    ``jobs > 1`` shards the seeds through the campaign orchestrator (in
+    a throwaway run directory); each seed is self-contained, so the
+    results are identical for any ``jobs``.
     """
-    seeds = list(seeds)
-    if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs <= 1:
+        return [run_unintended_campaign(seed, n_streams, stream_len,
+                                        contracts=contracts)
+                for seed in seeds]
+    import tempfile
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            futures = [
-                pool.submit(run_unintended_campaign, seed, n_streams,
-                            stream_len, contracts=contracts)
-                for seed in seeds
-            ]
-            return [future.result() for future in futures]
-    return [
-        run_unintended_campaign(seed, n_streams, stream_len,
-                                contracts=contracts)
-        for seed in seeds
-    ]
+    from repro.orchestrator import orchestrate
+
+    params = {"seeds": list(seeds), "n_streams": n_streams,
+              "stream_len": stream_len, "contracts": bool(contracts)}
+    with tempfile.TemporaryDirectory() as run_dir:
+        report, run, _ = orchestrate("attacks", params, jobs=jobs,
+                                     run_dir=run_dir)
+    if run.quarantined:
+        raise RuntimeError("attack campaign shard(s) failed: %s" % ", ".join(
+            spec.shard_id for spec in run.quarantined))
+    return report
 
 
-def write_attack_report(
-    results: Sequence[AttackCampaignResult], path: str
-) -> Dict[str, object]:
-    """Aggregate campaign results into one JSON report."""
+def attack_report(results: Sequence[AttackCampaignResult]) -> Dict[str, object]:
+    """Aggregate campaign results into the attack report payload."""
+    from repro.analysis.report import campaign_report
+
     per_kind: Dict[str, Counter] = {}
     totals: Counter = Counter()
-    contract_totals: Counter = Counter()
     for result in results:
         for kind, row in result.per_kind().items():
             per_kind.setdefault(kind, Counter()).update(row)
@@ -406,10 +405,8 @@ def write_attack_report(
             rewrite_corrupted=result.rewrite_corrupted,
             rewrite_unsafe_streams=result.rewrite_unsafe_streams,
         )
-        contract_totals.update(result.contract_counts)
     generated = totals.get("generated", 0) or 1
-    payload = {
-        "format": "isagrid-attack-campaign-v1",
+    return campaign_report("isagrid-attack-campaign-v1", {
         "backend": "x86",
         "forbidden": [entry if isinstance(entry, str) else entry.hex()
                       for entry in DEFAULT_FORBIDDEN],
@@ -420,12 +417,13 @@ def write_attack_report(
         "baseline_missed_pcu_blocked": totals.get(
             "scanner_missed_pcu_blocked", 0),
         "per_kind": {kind: dict(row) for kind, row in sorted(per_kind.items())},
-        "contract_counts": dict(sorted(contract_totals.items())),
-        "unwaived_contract_violations": sum(
-            r.unwaived_contract_violations for r in results),
-        "campaigns": [result.to_dict() for result in results],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    }, results, results, units_key="campaigns")
+
+
+def write_attack_report(
+    results: Sequence[AttackCampaignResult], path: str
+) -> Dict[str, object]:
+    """Aggregate campaign results into one JSON report."""
+    from repro.analysis.report import write_json
+
+    return write_json(attack_report(results), path)

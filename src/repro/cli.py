@@ -23,14 +23,14 @@ tap off); any *unwaived* violation — one not attributable to an armed
 fault injector — fails the run.  ``contracts --explain`` documents
 each contract and the events it consumes.
 
-``conformance`` and ``faults`` accept ``--jobs N`` to run their matrix
-sharded over a supervised worker pool (with ``--resume`` and
-``--shard-timeout``); reports stay byte-identical with ``--jobs 1``.
-``bench`` always runs through the orchestrator and writes a
+Every campaign subcommand (``conformance``, ``faults``, ``churn``,
+``attacks --campaign``, ``bench``) runs one registered campaign family
+through :func:`repro.orchestrator.orchestrate`: ``--jobs N`` shards it
+over a supervised worker pool (with ``--resume``, ``--run-dir``,
+``--shard-timeout`` and per-shard ``--profile`` dumps); reports stay
+byte-identical with ``--jobs 1``.  ``bench`` writes a
 ``BENCH_<stamp>.json`` trajectory (instructions/s and wall-clock per
 rig) that ``--baseline`` diffs against for the CI regression gate.
-All three accept ``--profile`` for per-shard cProfile dumps in the run
-directory.
 """
 
 from __future__ import annotations
@@ -122,16 +122,7 @@ def _cmd_attacks(args) -> int:
 
 
 def _run_attack_campaigns(args) -> int:
-    """Unintended-instruction campaigns: binary-scan baseline vs PCU.
-
-    Gadget-bearing streams are generated per seed; the ERIM-style
-    scanner and the PCU-enforced decode race on every planted gadget.
-    Fails unless the baseline misses at least one gadget the PCU
-    faults on, the legitimate stream stays fault-free, every sealed
-    probe is denied, and no unwaived contract violation fired.
-    """
-    from repro.attacks import run_unintended_campaigns, write_attack_report
-
+    """Unintended-instruction campaigns: binary-scan baseline vs PCU."""
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     except ValueError:
@@ -141,52 +132,10 @@ def _run_attack_campaigns(args) -> int:
     if not seeds:
         print("no seeds given", file=sys.stderr)
         return 2
-    results = run_unintended_campaigns(
-        seeds, args.streams, args.stream_len, jobs=args.jobs,
-        contracts=args.contracts,
-    )
-    for result in results:
-        detected = sum(g.scanner_detected for g in result.gadgets)
-        blocked = sum(g.pcu_blocked for g in result.gadgets)
-        missed = sum(g.pcu_blocked and not g.scanner_detected
-                     for g in result.gadgets)
-        print("seed %-4d %3d streams  %4d gadgets  scanner=%d/%d  "
-              "pcu=%d/%d  missed-but-blocked=%d  rewrite-corrupted=%d  "
-              "unwaived=%d"
-              % (result.seed, result.n_streams, len(result.gadgets),
-                 detected, len(result.gadgets), blocked,
-                 len(result.gadgets), missed, result.rewrite_corrupted,
-                 result.unwaived_contract_violations))
-    payload = write_attack_report(results, args.report)
-    print("report written to %s" % args.report)
-    print("scanner miss rate %.1f%%  pcu block rate %.1f%%  "
-          "baseline missed %d gadget(s) the PCU blocks"
-          % (payload["scanner_miss_rate"] * 100,
-             payload["pcu_block_rate"] * 100,
-             payload["baseline_missed_pcu_blocked"]))
-    failed = False
-    if not payload["baseline_missed_pcu_blocked"]:
-        print("FAIL: the scanner caught everything the PCU caught — the "
-              "campaign demonstrates nothing", file=sys.stderr)
-        failed = True
-    totals = payload["totals"]
-    if totals.get("pcu_blocked") != totals.get("generated"):
-        print("FAIL: %d gadget(s) escaped the PCU"
-              % (totals.get("generated", 0) - totals.get("pcu_blocked", 0)),
-              file=sys.stderr)
-        failed = True
-    if totals.get("legit_faults"):
-        print("FAIL: %d false positive(s) on the legitimate stream"
-              % totals["legit_faults"], file=sys.stderr)
-        failed = True
-    if totals.get("sealed_blocked") != totals.get("sealed_probes"):
-        print("FAIL: a sealed-class probe executed", file=sys.stderr)
-        failed = True
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s)"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    return _run_family("attacks", {
+        "seeds": seeds, "n_streams": args.streams,
+        "stream_len": args.stream_len, "contracts": args.contracts,
+    }, args, args.report)
 
 
 def _cmd_decompose(_args) -> int:
@@ -271,18 +220,9 @@ def _cmd_conformance(args) -> int:
         CONFORMANCE_CONFIGS,
         DEFAULT_CONFIGS,
         DifferentialRunner,
-        fuzz_backend,
         load_reproducer,
     )
-
-    mutate = None
-    if args.inject_bug:
-        # Deliberate cache-fill corruption: every instruction-bitmap fill
-        # flips the allow-bit of class 0.  The runner must catch it.
-        def mutate(pcu):
-            cache = pcu.hpt_cache.inst
-            original = cache.fill
-            cache.fill = lambda tag, payload: original(tag, payload ^ 1)
+    from repro.conformance.runner import corrupt_inst_fills
 
     if args.replay:
         try:
@@ -290,8 +230,9 @@ def _cmd_conformance(args) -> int:
         except OSError as error:
             print("cannot read reproducer: %s" % error, file=sys.stderr)
             return 2
-        runner = DifferentialRunner(backend, config=config, mutate=mutate,
-                                    layer=args.layer)
+        runner = DifferentialRunner(
+            backend, config=config, layer=args.layer,
+            mutate=corrupt_inst_fills if args.inject_bug else None)
         divergence = runner.replay(events)
         if divergence is None:
             print("%s/%s: replay of %d events: no divergence"
@@ -311,148 +252,77 @@ def _cmd_conformance(args) -> int:
               % (", ".join(unknown), ", ".join(CONFORMANCE_CONFIGS)),
               file=sys.stderr)
         return 2
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        if mutate is not None:
-            print("--inject-bug needs the in-process path; drop --jobs",
-                  file=sys.stderr)
-            return 2
-        from repro.orchestrator import orchestrate_conformance
+    params = {
+        "backends": list(backends), "configs": list(configs),
+        "seed": args.seed, "n_events": args.events, "layer": args.layer,
+        "scrub_interval": args.scrub_interval,
+        "oracle_only": args.oracle_only, "contracts": args.contracts,
+        "dump_dir": ".",
+    }
+    if args.inject_bug:
+        params["inject_bug"] = True
+    return _run_family("conformance", params, args)
 
-        payloads, run, run_dir = orchestrate_conformance(
-            backends, configs, args.seed, args.events,
-            jobs=args.jobs, layer=args.layer,
-            scrub_interval=args.scrub_interval,
-            oracle_only=args.oracle_only, dump_dir=".",
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-        failures = sum(_print_conformance_summary(p) for p in payloads)
-        failures += _report_quarantine(run, run_dir)
+
+def _run_family(kind: str, params, args,
+                report_path: Optional[str] = None) -> int:
+    """One campaign subcommand body: orchestrate, summarize, report, gate.
+
+    The plan and merge are the same on every run; ``--jobs 1`` without
+    ``--resume``/``--run-dir``/``--profile`` runs the shards in-process,
+    anything else through the supervised worker pool.
+    """
+    from repro.orchestrator import FAMILIES, orchestrate
+
+    family = FAMILIES[kind]
+    report, run, run_dir = orchestrate(
+        kind, params, jobs=args.jobs, run_dir=args.run_dir,
+        resume=args.resume, shard_timeout=args.shard_timeout,
+        profile=args.profile)
+    for line in family.summary(report):
+        print(line)
+    if report_path is not None:
+        family.write(report, report_path)
+        print("report written to %s" % report_path)
+    failures = family.gate(report)
+    if run is not None:
+        failures += _quarantine_lines(run, run_dir)
         print(run.metrics.render())
         print("run directory: %s" % run_dir)
-        return 1 if failures else 0
-    failures = 0
-    for backend in backends:
-        for config in configs:
-            result = fuzz_backend(
-                backend, args.seed, args.events, config=config,
-                mutate=mutate, oracle_only=args.oracle_only, dump_dir=".",
-                layer=args.layer, scrub_interval=args.scrub_interval,
-                contracts=args.contracts,
-            )
-            failures += _print_conformance_summary(result.summary())
+    for line in failures:
+        print(line, file=sys.stderr)
     return 1 if failures else 0
 
 
-def _print_conformance_summary(payload) -> int:
-    """Print one (backend, config) fuzz summary; returns 1 on failure.
-
-    One formatter for both execution paths keeps ``--jobs N`` output
-    line-identical with the serial path.
-    """
-    backend, config = payload["backend"], payload["config"]
-    outcomes = " ".join("%s=%d" % (k, v)
-                        for k, v in sorted(payload["outcomes"].items()))
-    monitored = payload.get("contracts") is not None
-    contracts_note = ("  contracts=%d unwaived=%d"
-                      % (sum(payload["contracts"].values()),
-                         payload.get("contract_unwaived", 0))
-                      if monitored else "")
-    if payload["clean"]:
-        print("%-6s %-10s %6d events  %s  divergences=0%s"
-              % (backend, config, payload["events"], outcomes,
-                 contracts_note))
-        return 0
-    if payload["divergence"] is not None:
-        print("%-6s %-10s %6d events  DIVERGENCE: %s"
-              % (backend, config, payload["events"], payload["divergence"]))
-        if payload["reproducer_path"]:
-            print("    reproducer dumped to %s" % payload["reproducer_path"])
-    for detection in payload["scrub_detections"]:
-        print("%-6s %-10s  SCRUB DETECTION: %s" % (backend, config, detection))
-    if payload.get("contract_unwaived"):
-        print("%-6s %-10s  CONTRACT VIOLATION: %s"
-              % (backend, config,
-                 payload.get("contract_first") or "unwaived violation"))
-    return 1
-
-
-def _report_quarantine(run, run_dir: str) -> int:
-    """Surface quarantined shards; they fail the run but not the merge."""
-    for spec in run.quarantined:
-        print("QUARANTINED shard %s (params %s) — see %s/quarantine.json"
-              % (spec.shard_id, spec.params, run_dir), file=sys.stderr)
-    return len(run.quarantined)
+def _quarantine_lines(run, run_dir: str) -> List[str]:
+    """Quarantined shards fail the run but not the merge."""
+    return ["QUARANTINED shard %s (params %s) — see %s/quarantine.json"
+            % (spec.shard_id, spec.params, run_dir)
+            for spec in run.quarantined]
 
 
 def _cmd_faults(args) -> int:
     """Seeded fault-injection campaigns with scrub/rollback recovery."""
     from repro.conformance import CONFORMANCE_CONFIGS
-    from repro.faults import CLASSIFICATIONS, run_campaigns, write_report
 
-    backends = ("riscv", "x86") if args.backend == "both" else (args.backend,)
+    backends = ["riscv", "x86"] if args.backend == "both" else [args.backend]
     if args.machine:
         return _run_machine_faults(args, backends)
-    configs = (tuple(CONFORMANCE_CONFIGS) if args.config == "all"
-               else tuple(args.config.split(",")))
+    configs = (list(CONFORMANCE_CONFIGS) if args.config == "all"
+               else args.config.split(","))
     unknown = [name for name in configs if name not in CONFORMANCE_CONFIGS]
     if unknown:
         print("unknown config %s (choose from %s)"
               % (", ".join(unknown), ", ".join(CONFORMANCE_CONFIGS)),
               file=sys.stderr)
         return 2
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_faults
-
-        matrices, run, run_dir = orchestrate_faults(
-            backends, configs, args.seed, args.events, args.campaign,
-            jobs=args.jobs, scrub_interval=args.scrub_interval,
-            faults_per_campaign=args.faults_per_campaign,
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_campaigns(
-                backend, args.seed, args.events, args.campaign,
-                config=config, scrub_interval=args.scrub_interval,
-                faults_per_campaign=args.faults_per_campaign,
-                contracts=args.contracts,
-            )
-            for backend in backends for config in configs
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
-        print("%-6s %-10s %d campaigns x %d events  %s  "
-              "contracts=%d unwaived=%d"
-              % (matrix.backend, matrix.config, len(matrix.results),
-                 args.events, counts, matrix.contract_violations,
-                 matrix.unwaived_contract_violations))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(),
-                     result.detail))
-    payload = write_report(matrices, args.report)
-    print("report written to %s" % args.report)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+    return _run_family("faults", {
+        "backends": backends, "configs": configs, "seed": args.seed,
+        "n_events": args.events, "n_campaigns": args.campaign,
+        "scrub_interval": args.scrub_interval,
+        "faults_per_campaign": args.faults_per_campaign,
+        "contracts": args.contracts,
+    }, args, args.report)
 
 
 def _cmd_churn(args) -> int:
@@ -463,70 +333,15 @@ def _cmd_churn(args) -> int:
     faults (mid-recycle store faults, generation flips, dropped
     flush-on-reuse) try to leak one tenant's privileges into the next.
     Every campaign runs in lockstep with the oracle and is monitored
-    against all seven contracts — ``no_stale_generation`` included.
+    against every contract — ``no_stale_generation`` included.
     """
-    from repro.faults import (
-        CLASSIFICATIONS,
-        run_churn_campaigns,
-        write_churn_report,
-    )
-
-    backends = ("riscv", "x86") if args.backend == "both" else (args.backend,)
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_churn
-
-        matrices, run, run_dir = orchestrate_churn(
-            backends, args.seed, args.ops, args.campaign,
-            jobs=args.jobs, max_slots=args.slots, config=args.config,
-            scrub_interval=args.scrub_interval,
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_churn_campaigns(
-                backend, args.seed, args.ops, args.campaign,
-                max_slots=args.slots, config=args.config,
-                scrub_interval=args.scrub_interval,
-                contracts=args.contracts,
-            )
-            for backend in backends
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
-        percentiles = matrix.to_dict()["latency_percentiles"]
-        print("%-6s churn  %d campaigns x %d ops  %s  contracts "
-              "unwaived=%d" % (matrix.backend, len(matrix.results),
-                               matrix.n_ops, counts,
-                               matrix.unwaived_contract_violations))
-        print("    %d logical domains over %d slots  slot_exhausted=%d  "
-              "check stall p50=%d p99=%d"
-              % (matrix.logical_domains, matrix.max_slots,
-                 matrix.slot_exhausted, percentiles["p50"],
-                 percentiles["p99"]))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(), result.detail))
-    payload = write_churn_report(matrices, args.report)
-    print("report written to %s" % args.report)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+    return _run_family("churn", {
+        "backends": ["riscv", "x86"] if args.backend == "both"
+        else [args.backend],
+        "seed": args.seed, "n_ops": args.ops, "n_campaigns": args.campaign,
+        "max_slots": args.slots, "config": args.config,
+        "scrub_interval": args.scrub_interval, "contracts": args.contracts,
+    }, args, args.report)
 
 
 _MACHINE_REPORT_DEFAULT = "results/machine_fault_campaigns.json"
@@ -540,72 +355,25 @@ def _run_machine_faults(args, backends) -> int:
     pulse/scrub cadence from the workload geometry (overridable with
     ``--iterations`` / ``--pulse-interval``).
     """
-    from repro.faults import (
-        CLASSIFICATIONS,
-        DEFAULT_MACHINE_ITERATIONS,
-        run_machine_campaigns,
-        write_machine_report,
-    )
+    from repro.faults import DEFAULT_MACHINE_ITERATIONS
 
-    iterations = (args.iterations if args.iterations is not None
-                  else DEFAULT_MACHINE_ITERATIONS)
     report_path = args.report
     if report_path == "results/fault_campaigns.json":
         report_path = _MACHINE_REPORT_DEFAULT
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_machine_faults
-
-        matrices, run, run_dir = orchestrate_machine_faults(
-            backends, args.seed, args.campaign,
-            jobs=args.jobs, iterations=iterations,
-            faults_per_campaign=args.faults_per_campaign,
-            pulse_interval=args.pulse_interval,
-            profile=args.profile, contracts=args.contracts,
-            state_changing_pulses=args.state_changing_pulses,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_machine_campaigns(
-                backend, args.seed, args.campaign,
-                iterations=iterations,
-                faults_per_campaign=args.faults_per_campaign,
-                pulse_interval=args.pulse_interval,
-                contracts=args.contracts,
-                state_changing_pulses=args.state_changing_pulses,
-            )
-            for backend in backends
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
-        print("%-6s machine  %d campaigns x %d iterations  %s  "
-              "rollbacks=%d contracts=%d unwaived=%d"
-              % (matrix.backend, len(matrix.results), matrix.iterations,
-                 counts, matrix.rollbacks, matrix.contract_violations,
-                 matrix.unwaived_contract_violations))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(), result.detail))
-    payload = write_machine_report(matrices, report_path)
-    print("report written to %s" % report_path)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+    params = {
+        "backends": backends, "seed": args.seed,
+        "n_campaigns": args.campaign,
+        "iterations": (args.iterations if args.iterations is not None
+                       else DEFAULT_MACHINE_ITERATIONS),
+        "faults_per_campaign": args.faults_per_campaign,
+        "scrub_interval": None, "pulse_interval": args.pulse_interval,
+        "contracts": args.contracts,
+    }
+    # Present only when set, so the default (state-neutral) layout
+    # keeps its shard ids and fingerprint.
+    if args.state_changing_pulses:
+        params["state_changing_pulses"] = True
+    return _run_family("machine_faults", params, args, report_path)
 
 
 def _cmd_bench(args) -> int:
@@ -620,7 +388,7 @@ def _cmd_bench(args) -> int:
         resolve_rigs,
         write_trajectory,
     )
-    from repro.orchestrator import orchestrate_bench
+    from repro.orchestrator import orchestrate
 
     if args.compare:
         current_path, baseline_path = args.compare
@@ -651,18 +419,23 @@ def _cmd_bench(args) -> int:
         return 2
     fast_path = not args.slow_path
     block_cache = not args.no_block_cache
-    payloads, run, run_dir = orchestrate_bench(
-        rigs, fast_path=fast_path, block_cache=block_cache, jobs=args.jobs,
-        profile=args.profile, run_dir=args.run_dir, resume=args.resume,
-        shard_timeout=args.shard_timeout,
+    payloads, run, run_dir = orchestrate(
+        "bench", {"rigs": rigs, "fast_path": fast_path,
+                  "block_cache": block_cache},
+        jobs=args.jobs, profile=args.profile, run_dir=args.run_dir,
+        resume=args.resume, shard_timeout=args.shard_timeout,
     )
     for payload in payloads:
         print("%-16s %10d inst  %14.0f cyc  %8.3f s  %10.0f inst/s"
               % (payload["rig"], payload["instructions"], payload["cycles"],
                  payload["wall_s"], payload["ips"]))
-    failures = _report_quarantine(run, run_dir)
-    print(run.metrics.render())
-    print("run directory: %s" % run_dir)
+    failures = []
+    if run is not None:
+        failures = _quarantine_lines(run, run_dir)
+        for line in failures:
+            print(line, file=sys.stderr)
+        print(run.metrics.render())
+        print("run directory: %s" % run_dir)
 
     stamp = args.stamp or time.strftime("%Y%m%d-%H%M%S")
     out = args.out or os.path.join("results", "bench",
@@ -697,16 +470,16 @@ def _cmd_orchestrate(args) -> int:
     import json
     import os
 
-    from repro.orchestrator import latest_run_dir, render_metrics
+    from repro.orchestrator import FAMILIES, latest_run_dir, render_metrics
     from repro.orchestrator.checkpoint import MANIFEST_NAME, RunJournal
 
     run_dir = args.run_dir or latest_run_dir()
     if run_dir is None or not os.path.isfile(
             os.path.join(run_dir, MANIFEST_NAME)):
-        print("no orchestrated run found%s; start one with "
-              "'python -m repro faults --jobs N' or "
-              "'python -m repro conformance --jobs N'"
-              % (" at %s" % run_dir if run_dir else ""), file=sys.stderr)
+        print("no orchestrated run found%s; start one with --jobs N (or "
+              "--run-dir) on any registered campaign family: %s"
+              % (" at %s" % run_dir if run_dir else "",
+                 ", ".join(sorted(FAMILIES))), file=sys.stderr)
         return 2
     journal = RunJournal(run_dir)
     manifest = journal.read_manifest() or {}
@@ -805,12 +578,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="gadget-bearing streams per seed")
     attacks.add_argument("--stream-len", type=int, default=48,
                          help="instructions per stream")
-    attacks.add_argument("--jobs", type=int, default=1,
-                         help="process-pool workers over the seeds "
-                              "(report bytes identical to --jobs 1)")
     attacks.add_argument("--report", default="results/attack_campaigns.json",
                          help="JSON report output path")
     add_contracts_flag(attacks)
+    add_orchestration_flags(attacks)
     conformance = subparsers.add_parser(
         "conformance",
         help="differentially fuzz the cached PCU against the oracle spec",

@@ -569,6 +569,15 @@ class ConformanceResult:
         }
 
 
+def corrupt_inst_fills(pcu: PrivilegeCheckUnit) -> None:
+    """Deliberate cache-fill bug (``--inject-bug``): every instruction-
+    bitmap fill flips the allow-bit of class 0.  The runner must catch
+    it."""
+    cache = pcu.hpt_cache.inst
+    original = cache.fill
+    cache.fill = lambda tag, payload: original(tag, payload ^ 1)
+
+
 def fuzz_backend(
     backend_name: str,
     seed: int,

@@ -28,8 +28,6 @@ post-divergence audit must then pin the blame on the cache layer.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -39,9 +37,8 @@ from repro.conformance.generator import make_backend
 from repro.conformance.runner import CONFORMANCE_CONFIGS, ConformanceWorld
 from repro.core.errors import InjectedFault
 
-from .injector import FaultInjector, FaultyWordBacking
+from .harness import RecoveryHarness
 from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
 
 CLASSIFICATIONS = (
     "detected_recovered", "detected_halted", "benign", "silent_divergence",
@@ -139,159 +136,46 @@ def run_campaign(
 
     With ``contracts`` (the default) the world runs under a
     :class:`~repro.contracts.monitor.ContractMonitor` whose waiver
-    probe attributes violations to fired injected faults — an injected
-    HPT flip legitimately makes verdicts disagree with the contract
-    shadow, and that *is* the fault model working.  Unwaived violations
-    are reported in the result and fail the campaign report.
+    probe attributes violations to fired injected faults (see
+    :class:`~repro.faults.harness.RecoveryHarness`).  Unwaived
+    violations are reported in the result and fail the campaign report.
     """
-    backend = make_backend(backend_name)
-    world = ConformanceWorld(backend, CONFORMANCE_CONFIGS[config])
-    # Interpose the faulty backing *under* the already-initialised
-    # trusted memory: existing words carry over untouched.
-    backing = FaultyWordBacking(world.trusted_memory._backing,
-                                trusted_memory=world.trusted_memory)
-    world.trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s)
-                 for s in (spec, *extra_specs)]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        monitor = ContractMonitor(seed=stream_seed, campaign=campaign)
-        monitor.attach(world.pcu, world.manager)
-        monitor.waiver_probe = waiver_probe
-
-    events = generate_events(stream_seed, n_events)
-    detections: List[str] = []
+    world = ConformanceWorld(make_backend(backend_name),
+                             CONFORMANCE_CONFIGS[config])
+    harness = RecoveryHarness(world, (spec, *extra_specs),
+                              contracts=contracts, seed=stream_seed,
+                              campaign=campaign)
     divergence_index: Optional[int] = None
     halted = False
     events_run = 0
-    escaped_faults = 0
-    stats = world.pcu.stats
-
-    def fault_owner() -> FaultInjector:
-        # The backing records which injector armed the fault that fired;
-        # fall back to the first store-ish spec only for armings made
-        # behind the injector's back (tests arming the backing directly).
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "commit_store_fault",
-                                        "commit_flip_journalled")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        # An injected store fault escaped to us.  Only credit a rollback
-        # when the DomainManager actually rolled a transaction back —
-        # a store can just as well fail outside any commit window (a
-        # gate-event trusted-stack push, a scrub repair), and crediting
-        # a phantom recovery there would upgrade genuine half-written
-        # corruption to detected_recovered.
-        nonlocal escaped_faults
-        if stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)" % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        # A still-armed store fault can fire on a scrub *repair* store;
-        # that interrupted pass is itself an escaped, non-transactional
-        # fault.  The fault is one-shot, so the retry completes.
-        nonlocal rollbacks_before
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
-
-    rollbacks_before = stats.reconfig_rollbacks
-    for index, event in enumerate(events):
-        for injector in injectors:
-            injector.on_event(index)
-        rollbacks_before = stats.reconfig_rollbacks
+    for index, event in enumerate(generate_events(stream_seed, n_events)):
+        harness.on_event(index)
+        events_run = index + 1
         try:
             cached, oracle = world.apply(event)
         except InjectedFault:
-            settle_injected_fault()
-            events_run = index + 1
+            harness.settle()
             continue
-        events_run = index + 1
         if cached != oracle:
             divergence_index = index
             break
-        if scrub_interval and (index + 1) % scrub_interval == 0:
-            report = safe_scrub()
-            note(report)
-            if report.unrepairable:
-                halted = True
-                break
+        if (scrub_interval and (index + 1) % scrub_interval == 0
+                and harness.scrub().unrepairable):
+            halted = True
+            break
 
-    # Final audit: always run one more scrub.  After a divergence this is
-    # the "why did we diverge" post-mortem; on a clean run it catches
-    # anything the watchdog cadence missed.
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    # Escaped (non-transactional) store faults are deliberately absent
-    # here: nothing detected or recovered anything, so they only shape
-    # the outcome through what the lockstep diff and the audit saw.
-    detected = bool(detections) or rollbacks > 0
-    if divergence_index is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted:
-        classification = "detected_halted"
-    elif detected:
-        # Recovery claim: the final audit must either have found nothing
-        # (the watchdog already repaired everything) or its own repairs
-        # must verify in place.  The targeted re-check replaces the full
-        # confirmation scrub the classifier used to pay for — one pass
-        # over the stream, one audit, no second replay of the state.
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    outcome = harness.finish(divergence_index is not None, halted)
+    stats = world.pcu.stats
     return CampaignResult(
         campaign=campaign,
         stream_seed=stream_seed,
         spec=spec,
-        classification=classification,
         events_run=events_run,
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         divergence_index=divergence_index,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=stats.scrub_repairs,
         degraded_entries=stats.degraded_entries,
         degraded_checks=stats.degraded_checks,
         extra_specs=list(extra_specs),
-        contract_violations=(0 if monitor is None
-                             else monitor.total_violations),
-        unwaived_contract_violations=(0 if monitor is None
-                                      else monitor.unwaived_violations),
-        contract_counts=({} if monitor is None
-                         else monitor.nonzero_counts()),
+        **outcome,
     )
 
 
@@ -349,12 +233,23 @@ def run_campaigns(
     scrub_interval: int = DEFAULT_SCRUB_INTERVAL,
     faults_per_campaign: int = 1,
     contracts: bool = True,
+    campaign_lo: int = 0,
+    campaign_hi: Optional[int] = None,
 ) -> CampaignMatrix:
-    """K campaigns, each with its own derived stream seed and fault(s)."""
+    """K campaigns, each with its own derived stream seed and fault(s).
+
+    ``[campaign_lo, campaign_hi)`` runs a slice of the matrix.  Plan
+    draws are sequential, so the campaigns below the slice are still
+    drawn — only to advance the plan's RNG — and the slice's specs are
+    the ones a full run hands those indices.
+    """
     plan = FaultPlan(seed)
+    hi = n_campaigns if campaign_hi is None else campaign_hi
     results = []
-    for campaign in range(n_campaigns):
+    for campaign in range(hi):
         specs = plan.draw_specs(campaign, n_events, faults_per_campaign)
+        if campaign < campaign_lo:
+            continue
         results.append(run_campaign(
             backend_name, specs[0],
             stream_seed=seed + campaign,
@@ -368,31 +263,31 @@ def run_campaigns(
     return CampaignMatrix(backend_name, config, seed, n_events, results)
 
 
-def write_report(matrices: List[CampaignMatrix], path: str) -> Dict[str, object]:
-    """Aggregate matrices into one JSON report under ``results/``."""
+def fault_report(fmt: str, matrices: Sequence[object],
+                 head: Optional[Dict[str, object]] = None,
+                 tail: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Report payload shared by every fault family's matrices."""
+    from repro.analysis.report import campaign_report
     from repro.contracts import CONTRACT_NAMES
 
     totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
-    widening_silent = 0
-    unwaived = 0
     for matrix in matrices:
         totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        unwaived += matrix.unwaived_contract_violations
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-fault-campaign-v2",
+    summary: Dict[str, object] = {
         "classification_counts": {name: totals.get(name, 0)
                                   for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "matrices": [matrix.to_dict() for matrix in matrices],
+        "widening_silent_divergences": sum(len(m.widening_silent)
+                                           for m in matrices),
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    summary.update(head or {})
+    return campaign_report(
+        fmt, summary, [r for m in matrices for r in m.results], matrices,
+        tail=tail, contract_names=CONTRACT_NAMES)
+
+
+def write_report(matrices: List[CampaignMatrix], path: str) -> Dict[str, object]:
+    """Aggregate matrices into one JSON report under ``results/``."""
+    from repro.analysis.report import write_json
+
+    return write_json(fault_report("isagrid-fault-campaign-v2", matrices),
+                      path)

@@ -22,8 +22,6 @@ detected/benign/silent-divergence matrix as every other campaign.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,10 +42,9 @@ from repro.core.errors import InjectedFault, PrivilegeFault
 from repro.conformance.oracle import OraclePcu
 from repro.workloads.tenant_churn import ChurnOp, generate_churn_ops
 
-from .campaign import CLASSIFICATIONS, DEFAULT_SCRUB_INTERVAL
-from .injector import FaultInjector, FaultyWordBacking
+from .campaign import CLASSIFICATIONS, DEFAULT_SCRUB_INTERVAL, fault_report
+from .harness import RecoveryHarness
 from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
 
 #: Trusted-memory window (matches the conformance worlds).
 TMEM_BASE = 0x100000
@@ -402,135 +399,47 @@ def run_churn_campaign(
     answer to the same detected/benign/silent-divergence matrix as every
     other fault kind, they just get a richer world to do damage in.
     """
-    backend = make_backend(backend_name)
-    world = ChurnWorld(backend, max_slots=max_slots, config=config)
-    backing = FaultyWordBacking(world.trusted_memory._backing,
-                                trusted_memory=world.trusted_memory)
-    world.trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s)
-                 for s in (spec, *extra_specs)]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        monitor = ContractMonitor(seed=stream_seed, campaign=campaign)
-        monitor.attach(world.pcu, world.manager)
-        monitor.waiver_probe = waiver_probe
-
+    world = ChurnWorld(make_backend(backend_name), max_slots=max_slots,
+                       config=config)
+    harness = RecoveryHarness(world, (spec, *extra_specs),
+                              contracts=contracts, seed=stream_seed,
+                              campaign=campaign)
     trace = generate_churn_ops(stream_seed, n_ops, N_INST_SLOTS, N_CSR_SLOTS)
-    detections: List[str] = []
     divergence_index: Optional[int] = None
     halted = False
     ops_run = 0
     pairs_run = 0
-    escaped_faults = 0
-    stats = world.pcu.stats
-
-    def fault_owner() -> FaultInjector:
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "recycle_store_fault")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        nonlocal escaped_faults
-        if stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)"
-                              % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        nonlocal rollbacks_before
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
-
-    rollbacks_before = stats.reconfig_rollbacks
     for index, op in enumerate(trace.ops):
-        for injector in injectors:
-            injector.on_event(index)
-        rollbacks_before = stats.reconfig_rollbacks
+        harness.on_event(index)
+        ops_run = index + 1
         try:
             pairs = world.apply(op, index)
         except InjectedFault:
-            settle_injected_fault()
-            ops_run = index + 1
+            harness.settle()
             continue
-        ops_run = index + 1
         pairs_run += len(pairs)
-        diverged = next((p for p in pairs if p[0] != p[1]), None)
-        if diverged is not None:
+        if any(cached != oracle for cached, oracle in pairs):
             divergence_index = index
             break
-        if scrub_interval and (index + 1) % scrub_interval == 0:
-            report = safe_scrub()
-            note(report)
-            if report.unrepairable:
-                halted = True
-                break
+        if (scrub_interval and (index + 1) % scrub_interval == 0
+                and harness.scrub().unrepairable):
+            halted = True
+            break
 
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    detected = bool(detections) or rollbacks > 0
-    if divergence_index is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted:
-        classification = "detected_halted"
-    elif detected:
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    outcome = harness.finish(divergence_index is not None, halted)
     return ChurnCampaignResult(
         campaign=campaign,
         stream_seed=stream_seed,
         spec=spec,
-        classification=classification,
         ops_run=ops_run,
         pairs_run=pairs_run,
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         divergence_index=divergence_index,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=stats.scrub_repairs,
         extra_specs=list(extra_specs),
-        contract_violations=(0 if monitor is None
-                             else monitor.total_violations),
-        unwaived_contract_violations=(0 if monitor is None
-                                      else monitor.unwaived_violations),
-        contract_counts=({} if monitor is None
-                         else monitor.nonzero_counts()),
         virtualizer=world.virtualizer.stats.to_dict(),
         checks_run=world.checks_run,
         backpressured=world.backpressured,
         latency=dict(world.latency),
+        **outcome,
     )
 
 
@@ -627,41 +536,14 @@ def run_churn_campaigns(
 def write_churn_report(matrices: List[ChurnMatrix],
                        path: str) -> Dict[str, object]:
     """Aggregate churn matrices into one JSON report under ``results/``."""
-    from repro.contracts import CONTRACT_NAMES
+    from repro.analysis.report import write_json
 
-    totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
     latency: "Counter[int]" = Counter()
-    widening_silent = 0
-    unwaived = 0
-    logical_domains = 0
-    slot_exhausted = 0
-    max_slots = 0
     for matrix in matrices:
-        totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        unwaived += matrix.unwaived_contract_violations
-        logical_domains += matrix.logical_domains
-        slot_exhausted += matrix.slot_exhausted
         latency.update(matrix.latency)
-        max_slots = max(max_slots, matrix.max_slots)
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-churn-campaign-v1",
-        "classification_counts": {name: totals.get(name, 0)
-                                  for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "logical_domains": logical_domains,
-        "max_slots": max_slots,
-        "slot_exhausted": slot_exhausted,
+    return write_json(fault_report("isagrid-churn-campaign-v1", matrices, tail={
+        "logical_domains": sum(m.logical_domains for m in matrices),
+        "max_slots": max((m.max_slots for m in matrices), default=0),
+        "slot_exhausted": sum(m.slot_exhausted for m in matrices),
         "latency_percentiles": latency_percentiles(dict(latency)),
-        "matrices": [matrix.to_dict() for matrix in matrices],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    }), path)

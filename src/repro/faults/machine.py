@@ -42,8 +42,6 @@ lockstep diff and the audit.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,10 +52,10 @@ from repro.core import CONFIG_8E
 from repro.core.errors import InjectedFault, PrivilegeFault
 from repro.core.trusted_memory import WORD_BYTES
 
-from .campaign import CLASSIFICATIONS
-from .injector import FaultInjector, FaultyWordBacking
+from .campaign import CLASSIFICATIONS, fault_report
+from .harness import RecoveryHarness
+from .injector import FaultInjector
 from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
 
 #: Backends a machine campaign can target.
 MACHINE_BACKENDS = ("riscv", "x86")
@@ -531,32 +529,15 @@ def run_machine_campaign(
     kernel = _build_kernel(backend_name)
     world = MachineWorld(kernel, backend_name)
     trusted_memory = world.trusted_memory
-    # Interpose the faulty backing after boot: the kernel's own domain
-    # configuration is never the fault target, the running campaign is.
-    backing = FaultyWordBacking(trusted_memory._backing,
-                                trusted_memory=trusted_memory)
-    trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s) for s in specs]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    contract_monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        # Attached after boot, so the monitor seeds its contract shadows
-        # from the kernel's committed domain/gate configuration.  The
-        # taps are inline in the PCU class methods, so the lockstep
-        # monitor's instance-level shadowing below still routes every
-        # check through them.
-        contract_monitor = ContractMonitor(seed=pulse_seed,
-                                           campaign=campaign)
-        contract_monitor.attach(world.pcu, world.manager)
-        contract_monitor.waiver_probe = waiver_probe
+    # Interposed after boot: the kernel's own domain configuration is
+    # never the fault target, the running campaign is.  The contract
+    # monitor likewise seeds its shadows from the committed boot
+    # configuration; its taps are inline in the PCU class methods, so
+    # the lockstep monitor's instance-level shadowing below still
+    # routes every check through them.
+    harness = RecoveryHarness(world, specs, contracts=contracts,
+                              seed=pulse_seed, campaign=campaign)
+    injectors = harness.injectors
 
     pcu = world.pcu
     registers = pcu.registers
@@ -577,44 +558,6 @@ def run_machine_campaign(
                     + world.manager.transactions_rolled_back)
     base_journalled = trusted_memory.journalled_stores_total
     base_faults = kernel.fault_count
-
-    detections: List[str] = []
-    escaped_faults = 0
-    rollbacks_before = pcu_stats.reconfig_rollbacks
-
-    def fault_owner() -> FaultInjector:
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "commit_store_fault",
-                                        "commit_flip_journalled")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        # Same contract as the abstract campaigns: a rollback is only
-        # credited when the DomainManager actually rolled one back.
-        nonlocal escaped_faults
-        if pcu_stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)"
-                              % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        nonlocal rollbacks_before
-        rollbacks_before = pcu_stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
 
     # Trigger bookkeeping: event triggers key on the pulse index, the
     # others fire at the first pause point past their threshold.
@@ -650,19 +593,19 @@ def run_machine_campaign(
         gate.inst = min([next_pulse, next_scrub, budget]
                         + [t for t, _ in inst_pending])
         gate.cycle = min((t for t, _ in cycle_pending), default=float("inf"))
-        rollbacks_before = pcu_stats.reconfig_rollbacks
+        harness.mark()
         try:
             machine.run(max_steps=max(1, budget - stats.instructions),
                         require_halt=False)
         except InjectedFault:
             # The faulted instruction never retired; the fault is
             # one-shot, so resuming retries it cleanly on both sides.
-            settle_injected_fault()
+            harness.settle()
             continue
         if stats.halted or monitor.divergence is not None:
             break
         if stats.instructions >= budget:
-            detections.append(
+            harness.detections.append(
                 "WATCHDOG: no halt after %d instructions (budget %dx nominal)"
                 % (stats.instructions, 4))
             halted_by_scrub = True
@@ -678,56 +621,30 @@ def run_machine_campaign(
         if stats.instructions >= next_pulse:
             for injector in event_pending.pop(pulse_index, ()):
                 injector.fire()
-            rollbacks_before = pcu_stats.reconfig_rollbacks
+            harness.mark()
             try:
                 pulser.pulse()
             except InjectedFault:
-                settle_injected_fault()
+                harness.settle()
             pulse_index += 1
             next_pulse += geometry.pulse_interval
         if stats.instructions >= next_scrub:
-            report = safe_scrub()
-            note(report)
             next_scrub += geometry.scrub_interval
-            if report.unrepairable:
+            if harness.scrub().unrepairable:
                 halted_by_scrub = True
                 break
 
     machine.step_hook = None
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted_by_scrub = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    detected = bool(detections) or rollbacks > 0
-    if monitor.divergence is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted_by_scrub:
-        classification = "detected_halted"
-    elif detected:
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    outcome = harness.finish(monitor.divergence is not None, halted_by_scrub)
     return MachineCampaignResult(
         campaign=campaign,
         backend=backend_name,
         spec=specs[0],
-        classification=classification,
         instructions=stats.instructions,
         cycles=round(stats.cycles, 3),
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         pulses_run=pulser.pulses_run,
         divergence=monitor.divergence,
         divergence_instruction=monitor.divergence_instruction,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=pcu_stats.scrub_repairs,
         degraded_entries=pcu_stats.degraded_entries,
         commit_windows=(world.manager.transactions_committed
                         + world.manager.transactions_rolled_back
@@ -739,13 +656,7 @@ def run_machine_campaign(
         syscalls=kernel.syscall_count,
         lockstep_checks=monitor.checks,
         extra_specs=list(specs[1:]),
-        contract_violations=(0 if contract_monitor is None
-                             else contract_monitor.total_violations),
-        unwaived_contract_violations=(
-            0 if contract_monitor is None
-            else contract_monitor.unwaived_violations),
-        contract_counts=({} if contract_monitor is None
-                         else contract_monitor.nonzero_counts()),
+        **outcome,
     )
 
 
@@ -841,8 +752,14 @@ def run_machine_campaigns(
     pulse_interval: Optional[int] = None,
     contracts: bool = True,
     state_changing_pulses: bool = False,
+    campaign_lo: int = 0,
+    campaign_hi: Optional[int] = None,
 ) -> MachineCampaignMatrix:
-    """K machine campaigns on one backend, serially."""
+    """K machine campaigns on one backend, serially.
+
+    ``[campaign_lo, campaign_hi)`` runs a slice of the matrix; draws are
+    campaign-local, so a slice needs no replay of earlier campaigns.
+    """
     results = [
         run_planned_machine_campaign(
             backend_name, seed, campaign,
@@ -853,7 +770,8 @@ def run_machine_campaigns(
             contracts=contracts,
             state_changing_pulses=state_changing_pulses,
         )
-        for campaign in range(n_campaigns)
+        for campaign in range(
+            campaign_lo, n_campaigns if campaign_hi is None else campaign_hi)
     ]
     return MachineCampaignMatrix(backend_name, seed, iterations, results)
 
@@ -861,32 +779,9 @@ def run_machine_campaigns(
 def write_machine_report(matrices: List[MachineCampaignMatrix],
                          path: str) -> Dict[str, object]:
     """Aggregate machine matrices into one JSON report."""
-    from repro.contracts import CONTRACT_NAMES
+    from repro.analysis.report import write_json
 
-    totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
-    widening_silent = 0
-    rollbacks = 0
-    unwaived = 0
-    for matrix in matrices:
-        totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        rollbacks += matrix.rollbacks
-        unwaived += matrix.unwaived_contract_violations
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-machine-fault-campaign-v1",
-        "classification_counts": {name: totals.get(name, 0)
-                                  for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "reconfig_rollbacks": rollbacks,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "matrices": [matrix.to_dict() for matrix in matrices],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    return write_json(fault_report(
+        "isagrid-machine-fault-campaign-v1", matrices,
+        head={"reconfig_rollbacks": sum(m.rollbacks for m in matrices)}),
+        path)

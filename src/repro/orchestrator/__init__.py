@@ -1,10 +1,14 @@
 """Parallel campaign orchestration (the scalability substrate).
 
 Every heavy harness in this reproduction — the differential conformance
-fuzzer, the fault-injection campaigns, and whatever workload PRs come
-next — boils down to "replay a seeded matrix of event streams and merge
-the verdicts".  This package makes that one scalable operation:
+fuzzer, the fault-injection, machine-fault and churn campaigns, the
+attack campaign and the bench rigs — boils down to "replay a seeded
+matrix of event streams and merge the verdicts".  This package makes
+that one scalable operation:
 
+* :mod:`~repro.orchestrator.families` — the campaign-family registry:
+  each family's plan axes, shard runner, merge, report writer, gate and
+  summary, as one :class:`CampaignFamily` entry;
 * :mod:`~repro.orchestrator.shards` — deterministic partitioning of a
   campaign's seed space into JSON-plain :class:`ShardSpec` units, with
   a layout that depends only on the campaign parameters (never on
@@ -20,41 +24,28 @@ the verdicts".  This package makes that one scalable operation:
   latency histogram, retry/quarantine counters and peak worker RSS,
   persisted per run and printable via
   ``python -m repro orchestrate --status``;
-* :mod:`~repro.orchestrator.api` — the merge layer that reassembles
-  shard payloads into the exact report structures the serial paths
-  emit (``--jobs N`` is bit-compatible with ``--jobs 1``).
+* :mod:`~repro.orchestrator.api` — :func:`orchestrate`, the one entry
+  point: plan, run the shards in-process or supervised, merge
+  (``--jobs N`` is bit-compatible with ``--jobs 1``).
 
 CLI: ``python -m repro faults --jobs 4`` /
 ``python -m repro conformance --jobs 4 --resume`` /
 ``python -m repro orchestrate --status``.
 """
 
-from .api import (
-    merge_churn_results,
-    merge_fault_results,
-    merge_machine_fault_results,
-    orchestrate_bench,
-    orchestrate_churn,
-    orchestrate_conformance,
-    orchestrate_faults,
-    orchestrate_machine_faults,
-)
+from .api import CampaignRun, orchestrate
 from .checkpoint import (
     RunJournal,
     default_run_dir,
     latest_run_dir,
 )
+from .families import FAMILIES, CampaignFamily
 from .metrics import RunMetrics, render_metrics
 from .shards import (
-    FAULT_SHARDS_PER_UNIT,
+    SHARDS_PER_UNIT,
     ShardPlan,
     ShardResult,
     ShardSpec,
-    plan_bench_shards,
-    plan_churn_shards,
-    plan_conformance_shards,
-    plan_fault_shards,
-    plan_machine_fault_shards,
 )
 from .supervisor import (
     DEFAULT_MAX_RETRIES,
@@ -64,10 +55,13 @@ from .supervisor import (
 from .worker import execute_shard, worker_entry
 
 __all__ = [
+    "CampaignFamily",
+    "CampaignRun",
     "DEFAULT_MAX_RETRIES",
-    "FAULT_SHARDS_PER_UNIT",
+    "FAMILIES",
     "RunJournal",
     "RunMetrics",
+    "SHARDS_PER_UNIT",
     "ShardPlan",
     "ShardResult",
     "ShardSpec",
@@ -76,19 +70,7 @@ __all__ = [
     "default_run_dir",
     "execute_shard",
     "latest_run_dir",
-    "merge_churn_results",
-    "merge_fault_results",
-    "merge_machine_fault_results",
-    "orchestrate_bench",
-    "orchestrate_churn",
-    "orchestrate_conformance",
-    "orchestrate_faults",
-    "orchestrate_machine_faults",
-    "plan_bench_shards",
-    "plan_churn_shards",
-    "plan_conformance_shards",
-    "plan_fault_shards",
-    "plan_machine_fault_shards",
+    "orchestrate",
     "render_metrics",
     "worker_entry",
 ]

@@ -1,55 +1,76 @@
-"""Orchestrated campaign entry points and result merging.
+"""The one campaign entry point: plan, run the shards, merge.
 
-These functions are what the CLI's ``--jobs N`` paths call: plan the
-shards, bind (or resume) a checkpointed run directory, drive the plan
-through the :class:`~repro.orchestrator.supervisor.Supervisor`, and
-merge the per-shard JSON payloads back into the exact structures the
-serial code paths produce.
+:func:`orchestrate` is what every CLI campaign subcommand calls.  The
+plan and the merge are the same on every run; only *where* the shards
+execute differs.  ``jobs=1`` without ``resume``, ``run_dir`` or
+``profile`` runs them one after another in this process (no run
+directory is written); anything else binds (or resumes) a checkpointed
+run directory and drives the plan through the
+:class:`~repro.orchestrator.supervisor.Supervisor`.
 
-Merging is where the bit-compatibility contract is enforced: fault
-shard payloads are reassembled into
-:class:`~repro.faults.campaign.CampaignMatrix` objects in canonical
-(backend, config, campaign) order, so ``write_report`` emits the same
-bytes a ``--jobs 1`` run would — worker scheduling leaves no trace.
-Quarantined shards are the one exception: their campaigns are missing
-from the merged matrices (recorded in the run directory instead), which
-is precisely the "record the offending seed instead of killing the run"
-trade the orchestrator makes.
+Payloads take the same JSON round trip on both paths, and the merge
+sees them in plan order either way, so ``--jobs N`` reports are
+byte-identical with ``--jobs 1`` by construction — worker scheduling
+leaves no trace.  Quarantined shards are the one exception: their
+campaigns are missing from the merged report (recorded in the run
+directory instead), which is precisely the "record the offending seed
+instead of killing the run" trade the orchestrator makes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import json
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .checkpoint import RunJournal, default_run_dir
+from .families import FAMILIES
 from .metrics import RunMetrics
-from .shards import ShardPlan, ShardResult, ShardSpec
+from .shards import ShardResult, ShardSpec
 from .supervisor import DEFAULT_MAX_RETRIES, SupervisedRun, Supervisor
 
 
-def _drive(
-    plan: ShardPlan,
-    jobs: int,
-    run_dir: Optional[str],
-    resume: bool,
-    shard_timeout: Optional[float],
-    max_retries: int,
+class CampaignRun(NamedTuple):
+    """A merged campaign report plus how it was produced."""
+
+    report: object
+    run: Optional[SupervisedRun]   # None when the shards ran in-process
+    run_dir: Optional[str]
+
+
+def orchestrate(
+    kind: str,
+    params: Dict[str, object],
+    *,
+    jobs: int = 1,
+    run_dir: Optional[str] = None,
+    resume: bool = False,
+    shard_timeout: Optional[float] = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    profile: bool = False,
     on_shard_done: Optional[Callable[[ShardResult], None]] = None,
     sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-) -> Tuple[SupervisedRun, str]:
-    """Common plumbing: journal binding + supervised execution.
+) -> CampaignRun:
+    """Run campaign family ``kind`` over JSON-plain campaign ``params``.
 
-    ``sabotage`` maps shard ids to test-only failure hooks (see
-    :mod:`~repro.orchestrator.worker`); production callers leave it
-    unset.
+    ``profile`` adds a per-shard cProfile dump to the run directory.
+    ``on_shard_done`` fires after each fresh supervised completion;
+    ``sabotage`` maps shard ids to the worker's test-only failure hooks
+    (see :mod:`~repro.orchestrator.worker`).
     """
-    specs: Sequence[ShardSpec] = plan.shards
-    if sabotage:
-        specs = [
-            ShardSpec(spec.shard_id, spec.kind, spec.params, spec.weight,
-                      sabotage.get(spec.shard_id))
-            for spec in plan.shards
-        ]
+    family = FAMILIES[kind]
+    params = dict(params)
+    if profile:
+        # Only present when set, so profiled and plain runs share shard
+        # ids but not run directories (plan params feed the fingerprint).
+        params["profile"] = True
+    plan = family.plan(params)
+    if jobs <= 1 and not (resume or run_dir or profile):
+        payloads = [json.loads(json.dumps(family.run_shard(spec.params)))
+                    for spec in plan.shards]
+        return CampaignRun(family.merge(params, payloads), None, None)
+    specs = [ShardSpec(spec.shard_id, spec.kind, spec.params, spec.weight,
+                       (sabotage or {}).get(spec.shard_id))
+             for spec in plan.shards]
     run_dir = run_dir or default_run_dir(plan)
     journal = RunJournal(run_dir)
     journal.bind(plan, resume=resume)
@@ -57,285 +78,6 @@ def _drive(
                             max_retries=max_retries)
     run = supervisor.run(specs, journal, RunMetrics(jobs=jobs),
                          on_shard_done=on_shard_done)
-    return run, run_dir
-
-
-def orchestrate_faults(
-    backends: Sequence[str],
-    configs: Sequence[str],
-    seed: int,
-    n_events: int,
-    n_campaigns: int,
-    *,
-    jobs: int,
-    scrub_interval: int,
-    faults_per_campaign: int = 1,
-    profile: bool = False,
-    contracts: bool = True,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    on_shard_done: Optional[Callable[[ShardResult], None]] = None,
-    sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-):
-    """Run the fault matrix sharded; return serial-identical matrices.
-
-    Returns ``(matrices, run, run_dir)`` where ``matrices`` is the
-    same list of :class:`~repro.faults.campaign.CampaignMatrix` a
-    serial ``run_campaigns`` loop over (backends x configs) yields.
-    """
-    from .shards import plan_fault_shards
-
-    plan = plan_fault_shards(backends, configs, seed, n_events, n_campaigns,
-                             scrub_interval, faults_per_campaign,
-                             profile=profile, contracts=contracts)
-    run, run_dir = _drive(plan, jobs, run_dir, resume, shard_timeout,
-                          max_retries, on_shard_done, sabotage)
-    return merge_fault_results(backends, configs, seed, n_events, run), \
-        run, run_dir
-
-
-def merge_fault_results(
-    backends: Sequence[str],
-    configs: Sequence[str],
-    seed: int,
-    n_events: int,
-    run: SupervisedRun,
-) -> List["CampaignMatrix"]:
-    """Reassemble shard payloads into canonical-order CampaignMatrix."""
-    from repro.faults.campaign import CampaignMatrix, CampaignResult
-
-    by_unit: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
-    for result in run.results:
-        payload = result.payload
-        key = (payload["backend"], payload["config"])
-        by_unit.setdefault(key, []).append(payload)
-    matrices: List[CampaignMatrix] = []
-    for backend in backends:
-        for config in configs:
-            payloads = sorted(by_unit.get((backend, config), []),
-                              key=lambda p: p["campaign_lo"])
-            results = [CampaignResult.from_dict(entry)
-                       for payload in payloads
-                       for entry in payload["results"]]
-            matrices.append(CampaignMatrix(backend, config, seed, n_events,
-                                           results))
-    return matrices
-
-
-def orchestrate_machine_faults(
-    backends: Sequence[str],
-    seed: int,
-    n_campaigns: int,
-    *,
-    jobs: int,
-    iterations: Optional[int] = None,
-    faults_per_campaign: int = 1,
-    scrub_interval: Optional[int] = None,
-    pulse_interval: Optional[int] = None,
-    profile: bool = False,
-    contracts: bool = True,
-    state_changing_pulses: bool = False,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    on_shard_done: Optional[Callable[[ShardResult], None]] = None,
-    sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-):
-    """Run the machine-level fault matrix sharded.
-
-    Returns ``(matrices, run, run_dir)`` where ``matrices`` is the same
-    list of :class:`~repro.faults.machine.MachineCampaignMatrix` a
-    serial ``run_machine_campaigns`` loop over ``backends`` yields —
-    byte-identical, since every campaign derives from a per-campaign RNG
-    and a pure-function geometry.
-    """
-    from repro.faults.machine import DEFAULT_MACHINE_ITERATIONS
-
-    from .shards import plan_machine_fault_shards
-
-    if iterations is None:
-        iterations = DEFAULT_MACHINE_ITERATIONS
-    plan = plan_machine_fault_shards(
-        backends, seed, n_campaigns, iterations,
-        faults_per_campaign=faults_per_campaign,
-        scrub_interval=scrub_interval, pulse_interval=pulse_interval,
-        profile=profile, contracts=contracts,
-        state_changing_pulses=state_changing_pulses)
-    run, run_dir = _drive(plan, jobs, run_dir, resume, shard_timeout,
-                          max_retries, on_shard_done, sabotage)
-    return merge_machine_fault_results(backends, seed, iterations, run), \
-        run, run_dir
-
-
-def merge_machine_fault_results(
-    backends: Sequence[str],
-    seed: int,
-    iterations: int,
-    run: SupervisedRun,
-) -> List["MachineCampaignMatrix"]:
-    """Reassemble machine shard payloads in canonical campaign order."""
-    from repro.faults.machine import (
-        MachineCampaignMatrix,
-        MachineCampaignResult,
-    )
-
-    by_backend: Dict[str, List[Dict[str, object]]] = {}
-    for result in run.results:
-        payload = result.payload
-        by_backend.setdefault(payload["backend"], []).append(payload)
-    matrices: List[MachineCampaignMatrix] = []
-    for backend in backends:
-        payloads = sorted(by_backend.get(backend, []),
-                          key=lambda p: p["campaign_lo"])
-        results = [MachineCampaignResult.from_dict(entry)
-                   for payload in payloads
-                   for entry in payload["results"]]
-        matrices.append(MachineCampaignMatrix(backend, seed, iterations,
-                                              results))
-    return matrices
-
-
-def orchestrate_churn(
-    backends: Sequence[str],
-    seed: int,
-    n_ops: int,
-    n_campaigns: int,
-    *,
-    jobs: int,
-    max_slots: int,
-    config: str = "stress",
-    scrub_interval: int = 0,
-    profile: bool = False,
-    contracts: bool = True,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    on_shard_done: Optional[Callable[[ShardResult], None]] = None,
-    sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-):
-    """Run the tenant-churn matrix sharded.
-
-    Returns ``(matrices, run, run_dir)`` where ``matrices`` is the same
-    list of :class:`~repro.faults.churn.ChurnMatrix` a serial
-    ``run_churn_campaigns`` loop over ``backends`` yields —
-    byte-identical, since every campaign derives from a per-campaign
-    fault RNG and a ``seed + campaign`` tenant stream.
-    """
-    from .shards import plan_churn_shards
-
-    plan = plan_churn_shards(backends, seed, n_ops, n_campaigns, max_slots,
-                             config=config, scrub_interval=scrub_interval,
-                             profile=profile, contracts=contracts)
-    run, run_dir = _drive(plan, jobs, run_dir, resume, shard_timeout,
-                          max_retries, on_shard_done, sabotage)
-    return merge_churn_results(backends, seed, n_ops, max_slots, run), \
-        run, run_dir
-
-
-def merge_churn_results(
-    backends: Sequence[str],
-    seed: int,
-    n_ops: int,
-    max_slots: int,
-    run: SupervisedRun,
-) -> List["ChurnMatrix"]:
-    """Reassemble churn shard payloads in canonical campaign order."""
-    from repro.faults.churn import ChurnCampaignResult, ChurnMatrix
-
-    by_backend: Dict[str, List[Dict[str, object]]] = {}
-    for result in run.results:
-        payload = result.payload
-        by_backend.setdefault(payload["backend"], []).append(payload)
-    matrices: List[ChurnMatrix] = []
-    for backend in backends:
-        payloads = sorted(by_backend.get(backend, []),
-                          key=lambda p: p["campaign_lo"])
-        results = [ChurnCampaignResult.from_dict(entry)
-                   for payload in payloads
-                   for entry in payload["results"]]
-        matrices.append(ChurnMatrix(backend, seed, n_ops, max_slots, results))
-    return matrices
-
-
-def orchestrate_conformance(
-    backends: Sequence[str],
-    configs: Sequence[str],
-    seed: int,
-    n_events: int,
-    *,
-    jobs: int,
-    layer: str = "pcu",
-    scrub_interval: int = 0,
-    oracle_only: bool = False,
-    dump_dir: Optional[str] = ".",
-    profile: bool = False,
-    contracts: bool = True,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    on_shard_done: Optional[Callable[[ShardResult], None]] = None,
-    sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-):
-    """Fuzz the conformance matrix sharded across workers.
-
-    Returns ``(payloads, run, run_dir)``; ``payloads`` holds one result
-    dict per (backend, config) pair in canonical order, shaped exactly
-    like the serial path's summary (see
-    :func:`repro.orchestrator.worker.run_conformance_shard`).
-    """
-    from .shards import plan_conformance_shards
-
-    plan = plan_conformance_shards(backends, configs, seed, n_events,
-                                   layer=layer,
-                                   scrub_interval=scrub_interval,
-                                   oracle_only=oracle_only,
-                                   dump_dir=dump_dir,
-                                   profile=profile, contracts=contracts)
-    run, run_dir = _drive(plan, jobs, run_dir, resume, shard_timeout,
-                          max_retries, on_shard_done, sabotage)
-    by_unit = {(r.payload["backend"], r.payload["config"]): r.payload
-               for r in run.results}
-    payloads = [by_unit[(backend, config)]
-                for backend in backends for config in configs
-                if (backend, config) in by_unit]
-    return payloads, run, run_dir
-
-
-def orchestrate_bench(
-    rigs: Sequence[str],
-    *,
-    fast_path: bool = True,
-    block_cache: bool = True,
-    jobs: int = 1,
-    profile: bool = False,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    on_shard_done: Optional[Callable[[ShardResult], None]] = None,
-    sabotage: Optional[Dict[str, Dict[str, object]]] = None,
-):
-    """Run the benchmark rigs sharded; return per-rig trajectory records.
-
-    Returns ``(payloads, run, run_dir)`` with one payload per requested
-    rig, in request order (quarantined rigs are simply absent — they are
-    recorded in the run directory like any other quarantined shard).
-    One caveat the fuzz/fault campaigns don't have: wall-clock and
-    instructions/s are *host* measurements, so ``--jobs N`` changes the
-    numbers (workers share cores) even though the simulated
-    instruction/cycle counts stay identical.
-    """
-    from .shards import plan_bench_shards
-
-    plan = plan_bench_shards(rigs, fast_path=fast_path,
-                             block_cache=block_cache, profile=profile)
-    run, run_dir = _drive(plan, jobs, run_dir, resume, shard_timeout,
-                          max_retries, on_shard_done, sabotage)
-    by_rig = {result.payload["rig"]: result.payload for result in run.results}
-    payloads = [by_rig[rig] for rig in rigs if rig in by_rig]
-    return payloads, run, run_dir
+    return CampaignRun(
+        family.merge(params, [result.payload for result in run.results]),
+        run, run_dir)

@@ -21,14 +21,7 @@ from repro.conformance import (
     load_reproducer,
     make_backend,
 )
-
-
-def corrupt_inst_fills(pcu):
-    """The canonical injected bug: every instruction-bitmap cache fill
-    flips the allow-bit of class 0."""
-    cache = pcu.hpt_cache.inst
-    original = cache.fill
-    cache.fill = lambda tag, payload: original(tag, payload ^ 1)
+from repro.conformance.runner import corrupt_inst_fills
 
 
 def suppress_invalidation(pcu):

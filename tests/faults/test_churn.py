@@ -1,4 +1,4 @@
-"""Tenant-churn campaigns: recycle-window faults, determinism, sharding.
+"""Tenant-churn campaigns: recycle-window faults, determinism, slicing.
 
 Small streams throughout (a few hundred ops, a dozen slots) — the churn
 machinery scales with the op count, so tiny runs exercise the same
@@ -141,18 +141,3 @@ class TestChurnMatrix:
         with open(path) as handle:
             assert json.load(handle) == payload
 
-
-class TestOrchestration:
-    def test_jobs_2_report_is_byte_identical_to_serial(self, tmp_path,
-                                                       matrix):
-        from repro.orchestrator import orchestrate_churn
-
-        serial_path = tmp_path / "serial.json"
-        write_churn_report([matrix], str(serial_path))
-        matrices, run, _ = orchestrate_churn(
-            ["riscv"], 0, N_OPS, 4, jobs=2, max_slots=SLOTS,
-            run_dir=str(tmp_path / "run"))
-        assert run.complete
-        parallel_path = tmp_path / "parallel.json"
-        write_churn_report(matrices, str(parallel_path))
-        assert serial_path.read_bytes() == parallel_path.read_bytes()

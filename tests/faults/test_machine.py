@@ -143,21 +143,6 @@ class TestMachineMatrix:
 
 
 class TestOrchestration:
-    def test_jobs_identical_to_serial(self, tmp_path, matrices):
-        # The serial reference is the first 4 campaigns of the already-
-        # computed full matrices (campaign draws are campaign-local, so
-        # a prefix is exactly what a 4-campaign serial run produces) —
-        # this test only pays for the sharded side.
-        from repro.orchestrator import orchestrate_machine_faults
-
-        sharded, run, _ = orchestrate_machine_faults(
-            ("riscv", "x86"), 7, 4, jobs=2, iterations=2,
-            run_dir=str(tmp_path / "run"))
-        assert run.quarantined == []
-        assert [[r.to_dict() for r in m.results] for m in sharded] == \
-            [[r.to_dict() for r in matrices[backend].results[:4]]
-             for backend in ("riscv", "x86")]
-
     def test_machine_plan_draws_are_campaign_local(self):
         # A worker must be able to draw campaign k without replaying
         # campaigns 0..k-1 — and the abstract plan stream must be

@@ -1,13 +1,28 @@
 """Shard planning: layout determinism, coverage, fingerprints."""
 
 from repro.orchestrator import (
-    ShardPlan,
+    FAMILIES,
+    SHARDS_PER_UNIT,
     ShardResult,
     ShardSpec,
-    plan_conformance_shards,
-    plan_fault_shards,
 )
-from repro.orchestrator.shards import FAULT_SHARDS_PER_UNIT, _fault_chunk
+from repro.orchestrator.shards import chunk_size
+
+
+def plan_fault_shards(backends, configs, seed, n_events, n_campaigns,
+                      scrub_interval, faults_per_campaign=1):
+    return FAMILIES["faults"].plan({
+        "backends": backends, "configs": configs, "seed": seed,
+        "n_events": n_events, "n_campaigns": n_campaigns,
+        "scrub_interval": scrub_interval,
+        "faults_per_campaign": faults_per_campaign, "contracts": True})
+
+
+def plan_conformance_shards(backends, configs, seed, n_events):
+    return FAMILIES["conformance"].plan({
+        "backends": backends, "configs": configs, "seed": seed,
+        "n_events": n_events, "layer": "pcu", "scrub_interval": 0,
+        "oracle_only": False, "contracts": True, "dump_dir": "."})
 
 
 class TestFaultPlanning:
@@ -29,14 +44,14 @@ class TestFaultPlanning:
                 assert lo < hi
                 covered.extend(range(lo, hi))
             assert covered == list(range(n_campaigns))
-            assert len(plan.shards) <= FAULT_SHARDS_PER_UNIT
+            assert len(plan.shards) <= SHARDS_PER_UNIT
 
     def test_chunk_depends_only_on_matrix_size(self):
         # The worker count must never influence the layout; the planner
         # does not even accept one.
-        assert _fault_chunk(8) == 1
-        assert _fault_chunk(9) == 2
-        assert _fault_chunk(100) == 13
+        assert chunk_size(8) == 1
+        assert chunk_size(9) == 2
+        assert chunk_size(100) == 13
 
     def test_fingerprint_tracks_campaign_parameters(self):
         base = plan_fault_shards(["riscv"], ["stress"], 0, 500, 20, 200)

@@ -16,30 +16,31 @@ import os
 import pytest
 
 from repro.faults import run_campaigns, write_report
-from repro.orchestrator import (
-    RunJournal,
-    orchestrate_conformance,
-    orchestrate_faults,
-)
+from repro.orchestrator import RunJournal, orchestrate
 
 BACKENDS = ["riscv"]
 CONFIGS = ["stress"]
 SEED = 0
 N_EVENTS = 120
-N_CAMPAIGNS = 6          # < FAULT_SHARDS_PER_UNIT -> one campaign per shard
+N_CAMPAIGNS = 6          # < SHARDS_PER_UNIT -> one campaign per shard
 SCRUB_INTERVAL = 64
 
 #: The shard the sabotage tests poison (campaign 2 of 6).
 VICTIM = "faults-riscv-stress-c0002-c0003"
 
 
+def fault_params(seed=SEED):
+    return {"backends": BACKENDS, "configs": CONFIGS, "seed": seed,
+            "n_events": N_EVENTS, "n_campaigns": N_CAMPAIGNS,
+            "scrub_interval": SCRUB_INTERVAL, "faults_per_campaign": 1,
+            "contracts": True}
+
+
 def run_parallel(tmp_path, **kwargs):
-    """orchestrate_faults over the shared tiny matrix."""
+    """The supervised faults family over the shared tiny matrix."""
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("run_dir", str(tmp_path / "run"))
-    return orchestrate_faults(
-        BACKENDS, CONFIGS, SEED, N_EVENTS, N_CAMPAIGNS,
-        scrub_interval=SCRUB_INTERVAL, **kwargs)
+    return orchestrate("faults", fault_params(), **kwargs)
 
 
 def report_bytes(matrices, path) -> bytes:
@@ -76,9 +77,12 @@ class TestReportEquivalence:
             summary = result.summary()
             summary["events_run"] = result.events
             serial.append(summary)
-        payloads, run, _ = orchestrate_conformance(
-            ["riscv", "x86"], ["stress"], SEED, 400, jobs=2, dump_dir=None,
-            run_dir=str(tmp_path / "run"))
+        payloads, run, _ = orchestrate("conformance", {
+            "backends": ["riscv", "x86"], "configs": ["stress"],
+            "seed": SEED, "n_events": 400, "layer": "pcu",
+            "scrub_interval": 0, "oracle_only": False, "contracts": True,
+            "dump_dir": None,
+        }, jobs=2, run_dir=str(tmp_path / "run"))
         assert run.complete
         assert payloads == serial
 
@@ -170,10 +174,8 @@ class TestResume:
         run_dir = str(tmp_path / "run")
         run_parallel(tmp_path, run_dir=run_dir)
         with pytest.raises(ValueError, match="different campaign"):
-            orchestrate_faults(
-                BACKENDS, CONFIGS, SEED + 1, N_EVENTS, N_CAMPAIGNS,
-                scrub_interval=SCRUB_INTERVAL, jobs=2, run_dir=run_dir,
-                resume=True)
+            orchestrate("faults", fault_params(SEED + 1), jobs=2,
+                        run_dir=run_dir, resume=True)
 
     def test_fresh_run_clears_stale_checkpoints(self, tmp_path):
         run_dir = str(tmp_path / "run")
