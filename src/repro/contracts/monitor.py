@@ -207,8 +207,11 @@ class ContractMonitor:
             return
         if kind == "txn":
             if event.op == "begin":
+                # A begin inside an open transaction (only a replayed
+                # external trace can contain one) starts a fresh one:
+                # the unclosed transaction's buffered reconfigs go too.
                 self._in_txn = True
-                self._txn_touched = {}
+                self._buffer = []
                 self._deliver(event)
             elif event.op == "commit":
                 self._in_txn = False

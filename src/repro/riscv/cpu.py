@@ -14,17 +14,11 @@ from typing import Dict, Optional
 
 from repro.core.errors import PrivilegeFault, TrustedMemoryFault
 from repro.core.isa_extension import AccessInfo, CacheId, GateKind
-from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT, PrivilegeCheckUnit
-from repro.sim.blocks import (
-    MAX_BLOCK_LEN,
-    MIN_BLOCK_LEN,
-    NO_BLOCK,
-    BlockSummary,
-    CompiledBlock,
-    summarize_classes,
-)
+from repro.core.pcu import PrivilegeCheckUnit
+from repro.sim import blocks
+from repro.sim.blocks import BRANCH, LOAD, PURE, STORE
 from repro.sim.machine import Machine
-from repro.sim.pipeline import InOrderPipelineModel, StepInfo
+from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
 from .encoding import (
@@ -67,6 +61,14 @@ _CAUSE_BY_KIND = {
     TrapKind.BREAKPOINT: CAUSE_BREAKPOINT,
     TrapKind.ISA_GRID_FAULT: CAUSE_ISA_GRID_FAULT,
     TrapKind.TRUSTED_MEMORY_FAULT: CAUSE_TRUSTED_MEMORY,
+}
+
+#: Block-member roles (DESIGN §3.18) by class, as ``(role, ender)``;
+#: any other class (ecall/ebreak/pfch/pflh/halt...) never joins a block.
+_BLOCK_ROLE = {
+    "alu": (PURE, False), "mul": (PURE, False), "fence": (PURE, False),
+    "load": (LOAD, False), "store": (STORE, False),
+    "branch": (BRANCH, True), "jump": (PURE, True),  # jal / jalr
 }
 
 _GATE_KIND = {
@@ -469,15 +471,12 @@ class RiscvCpu:
         # pc -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
         # a warm block costs one PCU probe.  Blocks are only formed and
-        # entered in Bare mode (satp == 0, where pa == pc) and are
-        # invalidated with the decode cache; privilege edits need no
-        # explicit invalidation because the summary is re-proved
-        # against the *live* bypass register on every entry.
+        # entered in Bare mode (satp == 0, where pa == pc: the fetch
+        # gate) and are invalidated with the decode cache; privilege
+        # edits need no explicit invalidation because the summary is
+        # re-proved against the *live* bypass register on every entry.
         self._block_cache: Dict[int, object] = {}
-        # Block formation bakes the Rocket timing model into the member
-        # closures, so any other pipeline falls back to the
-        # per-instruction loop.
-        self.blocks_supported = type(machine.pipeline) is InOrderPipelineModel
+        self._block_fetch_gate = (self.csrs, self._satp_address)
         # Optional Sv39 translation: identity (Bare) until software
         # writes a Sv39-mode SATP.  The decode cache is keyed by
         # *physical* address, so address-space switches stay coherent.
@@ -510,13 +509,7 @@ class RiscvCpu:
             info.extra_cycles += cycles
         return paddr
 
-    def flush_decode_cache(self) -> None:
-        """Call after writing instruction memory (icache coherence)."""
-        self._decode_cache.clear()
-        if self._block_cache:
-            self._block_cache.clear()
-            if self.pcu is not None:
-                self.pcu.block_stats.invalidations += 1
+    flush_decode_cache = blocks.flush_decode_cache
 
     # ------------------------------------------------------------------
     # Register helpers.
@@ -672,223 +665,41 @@ class RiscvCpu:
             )
 
     # ------------------------------------------------------------------
-    # Block-summary execution (DESIGN §3.18).
+    # Block-engine descriptor (DESIGN §3.18, :mod:`repro.sim.blocks`).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, pc: int, extra):
-        """Fused member closure: no memory access, no branch predictor."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
+    run_blocks = blocks.run_blocks
+    #: Every handler writes the pc itself; blocks never need ``end_pc``.
+    BLOCK_HANDLERS_SET_PC = True
 
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction):
-            h(inst, pc, info, extra)
-            f = ai(pc)
-            if f > 1:
-                return 1.0 + (f - 1)
-            return 1.0
+    @staticmethod
+    def _block_member(entry):
+        """``(handler, inst, extra, size, inst_class, role, ender)`` or None.
 
-        return op
-
-    def _block_op_mem(self, handler, inst, pc: int, extra, is_store: bool):
-        """Fused member closure for loads and stores."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
-
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction, ad=p._access_data,
-               is_store=is_store):
-            h(inst, pc, info, extra)
-            f = ai(pc)
-            c = 1.0 + (f - 1) if f > 1 else 1.0
-            d = ad(info.mem_address, is_store)
-            if d > 1:
-                c += d - 1
-            return c
-
-        return op
-
-    def _block_op_branch(self, handler, inst, pc: int, extra):
-        """Fused member closure for conditional branches."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
-
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction, stats=p.branch_stats,
-               pu=p._predictor_update, mp=p._mispredict_penalty):
-            h(inst, pc, info, extra)
-            f = ai(pc)
-            c = 1.0 + (f - 1) if f > 1 else 1.0
-            stats.predictions += 1
-            if pu(pc, info.branch_taken):
-                stats.mispredictions += 1
-                c += mp
-            return c
-
-        return op
-
-    def _form_block(self, start: int):
-        """Compile a superblock at ``start``, or ``NO_BLOCK``.
-
-        Only called in Bare mode (satp == 0), where pc == pa and the
-        per-pc decode cache is directly addressable.  Members are
-        straight-line instructions whose only PCU interaction is the
-        plain instruction-class check; the first control transfer
-        (branch/jal/jalr) ends the block as its final member.  Gates,
-        CSR access, sret/wfi/sfence, ecall/ebreak, pfch/pflh and halt
-        refuse membership, so a block can never contain a domain
-        switch, privilege edit or satp write.
+        Only reached in Bare mode (the fetch gate holds ``satp``), where
+        pc == pa and the per-pc decode cache is directly addressable.
+        Members are straight-line instructions whose only PCU
+        interaction is the plain instruction-class check:
+        alu/mul/fence/load/store, ended by branch/jal/jalr.  Gates, CSR
+        access, sret/wfi/sfence, ecall/ebreak, pfch/pflh and halt are
+        never members, so a block cannot switch domain, edit privileges
+        or write satp.
         """
-        decode_cache = self._decode_cache
-        ops = []
-        pcs = []
-        classes = []
-        touches_memory = False
-        ended = False
-        pc = start
-        while len(ops) < MAX_BLOCK_LEN:
-            entry = decode_cache.get(pc)
-            if entry is None:
-                try:
-                    entry = self._decode_entry(pc, pc)
-                except Trap:
-                    # Undecodable tail: executing it live must raise
-                    # the same trap via the reference path, so end the
-                    # block here and don't cache the decode failure.
-                    break
-                decode_cache[pc] = entry
-            inst, handler, access, extra = entry
-            if access is None:
-                break
-            cls = inst.inst_class
-            mnemonic = inst.mnemonic
-            if cls == "alu" or cls == "mul" or cls == "fence":
-                op = self._block_op_pure(handler, inst, pc, extra)
-            elif cls == "load":
-                op = self._block_op_mem(handler, inst, pc, extra, False)
-                touches_memory = True
-            elif cls == "store":
-                op = self._block_op_mem(handler, inst, pc, extra, True)
-                touches_memory = True
-            elif cls == "branch":
-                op = self._block_op_branch(handler, inst, pc, extra)
-                ended = True
-            elif mnemonic == "jal" or mnemonic == "jalr":
-                op = self._block_op_pure(handler, inst, pc, extra)
-                ended = True
-            else:
-                # ecall/ebreak/pfch/pflh/halt: never block members.
-                break
-            ops.append(op)
-            pcs.append(pc)
-            classes.append(access.inst_class)
-            pc += 4
-            if ended:
-                break
-        if len(ops) < MIN_BLOCK_LEN:
-            return NO_BLOCK
-        summary = BlockSummary(summarize_classes(classes), (), touches_memory)
-        # Every RISC-V handler writes self.pc itself, so sets_pc=True:
-        # the executor never needs the end_pc store.
-        return CompiledBlock(summary, ops, pcs, [4] * len(ops), pc, True)
-
-    def run_blocks(self, max_steps: int, mstats, instruction_cycles) -> None:
-        """Hot loop: execute warm blocks under one PCU probe each.
-
-        Called by :meth:`Machine.run` instead of its per-instruction
-        loop when block summaries are enabled.  Any cold/ineligible pc,
-        refused probe, or translated fetch (satp != 0) falls back to
-        the reference ``step()`` for exactly one instruction, so
-        semantics, cycles and statistics are bit-identical to the
-        per-instruction loop by construction.
-        """
-        blocks = self._block_cache
-        pcu = self.pcu
-        csrs = self.csrs
-        satp_address = self._satp_address
-        step = self.step
-        probe = None if pcu is None else pcu.check_block_summary
-        account = None if pcu is None else pcu.account_block
-        insts = mstats.instructions
-        cyc = mstats.cycles
-        traps = 0
-        remaining = max_steps
-        try:
-            while remaining > 0:
-                mode = BLOCK_REFUSED
-                if not csrs[satp_address]:
-                    pc = self.pc
-                    block = blocks.get(pc)
-                    if block is None:
-                        block = self._form_block(pc)
-                        blocks[pc] = block
-                    if block is not NO_BLOCK and block.n <= remaining:
-                        mode = (
-                            BLOCK_SILENT if probe is None
-                            else probe(block.summary)
-                        )
-                if mode == BLOCK_REFUSED:
-                    # Reference path for one instruction.  Flush the
-                    # stats mirrors first: the cycle/instret CSRs and
-                    # trap handlers observe them live.
-                    mstats.instructions = insts
-                    mstats.cycles = cyc
-                    info = step()
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    remaining -= 1
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        mstats.halted = True
-                        return
-                    continue
-                ops = block.ops
-                n = block.n
-                i = 0
-                try:
-                    while i < n:
-                        cyc += ops[i]()
-                        i += 1
-                except (Trap, PrivilegeFault) as error:
-                    # Mid-block fault: members [0, i) retired normally;
-                    # the faulting member vectors exactly like step().
-                    insts += i
-                    info = StepInfo(block.pcs[i])
-                    self._dispatch_fault(error, block.pcs[i], info)
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    traps += 1
-                    remaining -= i + 1
-                    if account is not None:
-                        # The faulting member's check preceded its
-                        # handler on the reference path, so it counts.
-                        account(mode, i + 1)
-                    continue
-                except BaseException:
-                    # e.g. MemoryAccessError escaping the run, as on
-                    # the per-instruction path; attribute the retired
-                    # members before unwinding.  The faulting member's
-                    # check preceded its memory access there, so it
-                    # counts here too.
-                    insts += i
-                    if account is not None:
-                        account(mode, i + 1)
-                    raise
-                insts += n
-                remaining -= n
-                if account is not None:
-                    account(mode, n)
-        finally:
-            mstats.instructions = insts
-            mstats.cycles = cyc
-            mstats.traps += traps
+        inst, handler, access, extra = entry
+        if access is None:
+            return None
+        role = _BLOCK_ROLE.get(inst.inst_class)
+        if role is None:
+            return None
+        return (handler, inst, extra, 4, access.inst_class) + role
 
     # ------------------------------------------------------------------
     # Decode-and-dispatch cache.  One decode resolves the handler, the
     # prebuilt plain-check AccessInfo and any static operands, so the
     # steady-state step never re-examines mnemonics or classes.
     # ------------------------------------------------------------------
-    def _decode_entry(self, fetch_pa: int, pc: int) -> tuple:
+    def _decode_entry(self, fetch_pa: int, pc: Optional[int] = None) -> tuple:
+        if pc is None:  # Bare mode: pc == pa
+            pc = fetch_pa
         try:
             word = self.memory.load(fetch_pa, 4)
             inst = decode(word)

@@ -126,77 +126,64 @@ class Machine:
         if cpu is None:
             raise RuntimeError("no CPU attached")
         hook = self.step_hook
+        stats = self.stats
+        run_blocks = getattr(cpu, "run_blocks", None)
         if "step" in self.__dict__:
             # Something (the Tracer) wrapped ``step`` on this instance;
             # honour the wrapper instead of the inlined loop.
             for _ in range(max_steps):
                 info = self.step()
-                if info.halted:
-                    return self.stats
-                if hook is not None and hook(info):
-                    return self.stats
-            if require_halt:
-                raise SimulationLimitExceeded(
-                    "no halt after %d instructions (pc=0x%x)"
-                    % (max_steps, cpu.pc)
-                )
-            return self.stats
-        if hook is None and self.block_summaries:
+                if info.halted or hook is not None and hook(info):
+                    return stats
+        elif (
+            hook is None
+            and self.block_summaries
+            and run_blocks is not None
+            and (cpu.pcu is None or cpu.pcu._block_capable)
+        ):
             # Block-summary executor (DESIGN §3.18): warm straight-line
             # blocks retire under one PCU probe instead of N checks.
-            # Only taken when the CPU formed its member closures against
-            # this pipeline model and its PCU (if any) was configured
-            # block-capable; the executor itself falls back to the
-            # reference ``step()`` per instruction whenever a probe
-            # refuses, so results are bit-identical to the loops below.
-            run_blocks = getattr(cpu, "run_blocks", None)
-            if (
-                run_blocks is not None
-                and cpu.blocks_supported
-                and (cpu.pcu is None or cpu.pcu._block_capable)
-            ):
-                stats = self.stats
-                run_blocks(max_steps, stats, self.pipeline.instruction_cycles)
-                if stats.halted:
-                    return stats
-                if require_halt:
-                    raise SimulationLimitExceeded(
-                        "no halt after %d instructions (pc=0x%x)"
-                        % (max_steps, cpu.pc)
-                    )
+            # Only taken when the CPU runs the block engine and its PCU
+            # (if any) was configured block-capable; the executor itself
+            # falls back to the reference ``step()`` per instruction
+            # whenever a probe refuses, so results are bit-identical to
+            # the loops below.
+            run_blocks(max_steps, stats, self.pipeline.instruction_cycles)
+            if stats.halted:
                 return stats
-        cpu_step = cpu.step
-        instruction_cycles = self.pipeline.instruction_cycles
-        stats = self.stats
-        traps = 0
-        try:
-            if hook is None:
-                for _ in range(max_steps):
-                    info = cpu_step()
-                    stats.instructions += 1
-                    stats.cycles += instruction_cycles(info)
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        stats.halted = True
-                        return stats
-            else:
-                # Same loop with the hook call appended.  Kept as a
-                # separate branch so the hook-free hot path stays free
-                # of the extra call and None test per instruction.
-                for _ in range(max_steps):
-                    info = cpu_step()
-                    stats.instructions += 1
-                    stats.cycles += instruction_cycles(info)
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        stats.halted = True
-                        return stats
-                    if hook(info):
-                        return stats
-        finally:
-            stats.traps += traps
+        else:
+            cpu_step = cpu.step
+            instruction_cycles = self.pipeline.instruction_cycles
+            traps = 0
+            try:
+                if hook is None:
+                    for _ in range(max_steps):
+                        info = cpu_step()
+                        stats.instructions += 1
+                        stats.cycles += instruction_cycles(info)
+                        if info.trapped:
+                            traps += 1
+                        if info.halted:
+                            stats.halted = True
+                            return stats
+                else:
+                    # Same loop with the hook call appended.  Kept as a
+                    # separate branch so the hook-free hot path stays
+                    # free of the extra call and None test per
+                    # instruction.
+                    for _ in range(max_steps):
+                        info = cpu_step()
+                        stats.instructions += 1
+                        stats.cycles += instruction_cycles(info)
+                        if info.trapped:
+                            traps += 1
+                        if info.halted:
+                            stats.halted = True
+                            return stats
+                        if hook(info):
+                            return stats
+            finally:
+                stats.traps += traps
         if require_halt:
             raise SimulationLimitExceeded(
                 "no halt after %d instructions (pc=0x%x)" % (max_steps, cpu.pc)

@@ -69,7 +69,17 @@ class StepInfo:
 
 
 class PipelineModel:
-    """Base class: shared bookkeeping for both timing models."""
+    """Base class: the timing formula both models share.
+
+    A model is the formula's constants: base issue cost ``1 / WIDTH``,
+    plus ``(latency - PIPELINED_HIT) * factor`` for an instruction fetch
+    or data access slower than a pipelined L1 hit, plus the branch,
+    serialization, trap and gate (``_gate_cycles``) costs.  The block
+    engine's fused member closures (:mod:`repro.sim.blocks`) read the
+    same constants, so both paths charge identical cycles.
+    """
+
+    WIDTH = 1
 
     def __init__(self, hierarchy: MemoryHierarchy, predictor: Optional[TournamentPredictor] = None):
         self.hierarchy = hierarchy
@@ -80,55 +90,34 @@ class PipelineModel:
         self._access_data = hierarchy.access_data
         self._predictor_update = self.predictor.update
         self._mispredict_penalty = float(getattr(self, "MISPREDICT_PENALTY", 0))
+        # Instance copies of the constants the formula reads on every
+        # call: instance attributes stay on the interpreter's fast path.
+        self._inv_width = 1.0 / self.WIDTH
+        self._hit = self.PIPELINED_HIT
+        self._fetch_factor = self.ICACHE_MISS_FACTOR
+        self._data_factors = (self.LOAD_MISS_FACTOR, self.STORE_MISS_FACTOR)
+        # Store-queue forwarding window: counts retired instructions
+        # once an O3 ``hccalls`` starts it; ``None`` while untracked
+        # (always, on the in-order model).
+        self._instructions_since_push: Optional[int] = None
 
     def instruction_cycles(self, info: StepInfo) -> float:
-        raise NotImplementedError
-
-    def _branch_penalty(self, info: StepInfo, penalty: int) -> float:
-        self.branch_stats.predictions += 1
-        mispredicted = self.predictor.update(info.pc, info.branch_taken)
-        if mispredicted:
-            self.branch_stats.mispredictions += 1
-            return float(penalty)
-        return 0.0
-
-
-class InOrderPipelineModel(PipelineModel):
-    """Rocket-like 5-stage in-order scalar pipeline.
-
-    Component costs calibrated so the microbenchmarks land on the
-    paper's Table 4 rows: a gate is a 3-cycle front-end flush plus a
-    1-cycle SGT lookup plus a 1-cycle redirect (= 5 for ``hccall``);
-    the extended gate adds two trusted-stack word accesses at
-    ~3.5 cycles each (= 12).
-    """
-
-    MISPREDICT_PENALTY = 3
-    TRAP_ENTRY = 36        # flush + privilege change + vector fetch
-    TRAP_RETURN = 30
-    SERIALIZE = 2          # CSR access drains the short pipeline
-    GATE_FLUSH = 2
-    GATE_SGT_LOOKUP = 1
-    GATE_REDIRECT = 1
-    TSTACK_WORD = 3.5      # trusted-stack push/pop per word
-    RET_BOUND_CHECK = 1    # hcrets hcsb/hcsl bound check
-
-    def instruction_cycles(self, info: StepInfo) -> float:
-        cycles = 1.0
-        # Front end: extra fetch cycles beyond the pipelined hit.
+        if self._instructions_since_push is not None:
+            self._instructions_since_push += 1
+        cycles = self._inv_width
+        hit = self._hit
         fetch = self._access_instruction(info.pc)
-        if fetch > 1:
-            cycles += fetch - 1
+        if fetch > hit:
+            cycles += (fetch - hit) * self._fetch_factor
         if info.is_gate:
             return cycles + self._gate_cycles(info)
         mem_address = info.mem_address
         if mem_address is not None:
-            # A D-cache hit (2 cycles) costs one extra cycle over ALU ops.
-            data = self._access_data(mem_address, info.is_store)
-            if data > 1:
-                cycles += data - 1
+            is_store = info.is_store
+            data = self._access_data(mem_address, is_store)
+            if data > hit:
+                cycles += (data - hit) * self._data_factors[is_store]
         if info.is_branch:
-            # _branch_penalty, inlined for the per-branch hot path.
             stats = self.branch_stats
             stats.predictions += 1
             if self._predictor_update(info.pc, info.branch_taken):
@@ -142,6 +131,35 @@ class InOrderPipelineModel(PipelineModel):
             cycles += self.TRAP_RETURN
         cycles += info.pcu_stall + info.extra_cycles
         return cycles
+
+
+class InOrderPipelineModel(PipelineModel):
+    """Rocket-like 5-stage in-order scalar pipeline.
+
+    Component costs calibrated so the microbenchmarks land on the
+    paper's Table 4 rows: a gate is a 3-cycle front-end flush plus a
+    1-cycle SGT lookup plus a 1-cycle redirect (= 5 for ``hccall``);
+    the extended gate adds two trusted-stack word accesses at
+    ~3.5 cycles each (= 12).  Every cycle of fetch or data latency
+    beyond the 1-cycle pipelined hit stalls the pipeline in full (a
+    D-cache hit, 2 cycles, costs one extra cycle over ALU ops).
+    """
+
+    MISPREDICT_PENALTY = 3
+    PIPELINED_HIT = 1
+    ICACHE_MISS_FACTOR = LOAD_MISS_FACTOR = STORE_MISS_FACTOR = 1
+    TRAP_ENTRY = 36        # flush + privilege change + vector fetch
+    TRAP_RETURN = 30
+    SERIALIZE = 2          # CSR access drains the short pipeline
+    GATE_FLUSH = 2
+    GATE_SGT_LOOKUP = 1
+    GATE_REDIRECT = 1
+    TSTACK_WORD = 3.5      # trusted-stack push/pop per word
+    RET_BOUND_CHECK = 1    # hcrets hcsb/hcsl bound check
+
+    # Bound on each model's own class: per-class method wrappers (the
+    # layer tracer's) must find it in the class namespace.
+    instruction_cycles = PipelineModel.instruction_cycles
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_FLUSH + self.GATE_REDIRECT)
@@ -171,6 +189,7 @@ class OutOfOrderPipelineModel(PipelineModel):
 
     WIDTH = 8
     MISPREDICT_PENALTY = 14
+    PIPELINED_HIT = 2      # fetch/data latency the pipeline hides
     TRAP_ENTRY = 120       # full squash + mode change + vector fetch
     TRAP_RETURN = 90
     SERIALIZE = 10         # non-renamed CSR access drains the ROB
@@ -190,39 +209,8 @@ class OutOfOrderPipelineModel(PipelineModel):
         if predictor is None:
             predictor = TournamentPredictor(local_bits=14, global_bits=14)
         super().__init__(hierarchy, predictor)
-        self._instructions_since_push: Optional[int] = None
-        self._inv_width = 1.0 / self.WIDTH
 
-    def instruction_cycles(self, info: StepInfo) -> float:
-        if self._instructions_since_push is not None:
-            self._instructions_since_push += 1
-        cycles = self._inv_width
-        fetch = self._access_instruction(info.pc)
-        if fetch > 2:  # beyond the pipelined L1 hit
-            cycles += (fetch - 2) * self.ICACHE_MISS_FACTOR
-        if info.is_gate:
-            return cycles + self._gate_cycles(info)
-        mem_address = info.mem_address
-        if mem_address is not None:
-            data = self._access_data(mem_address, info.is_store)
-            if data > 2:
-                factor = self.STORE_MISS_FACTOR if info.is_store else self.LOAD_MISS_FACTOR
-                cycles += (data - 2) * factor
-        if info.is_branch:
-            # _branch_penalty, inlined for the per-branch hot path.
-            stats = self.branch_stats
-            stats.predictions += 1
-            if self._predictor_update(info.pc, info.branch_taken):
-                stats.mispredictions += 1
-                cycles += self._mispredict_penalty
-        if info.is_csr:
-            cycles += self.SERIALIZE
-        if info.trapped:
-            cycles += self.TRAP_ENTRY
-        if info.trap_return:
-            cycles += self.TRAP_RETURN
-        cycles += info.pcu_stall + info.extra_cycles
-        return cycles
+    instruction_cycles = PipelineModel.instruction_cycles
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_SQUASH)

@@ -18,17 +18,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.errors import PrivilegeFault, TrustedMemoryFault
 from repro.core.isa_extension import AccessInfo, CacheId, GateKind
-from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT, PrivilegeCheckUnit
-from repro.sim.blocks import (
-    MAX_BLOCK_LEN,
-    MIN_BLOCK_LEN,
-    NO_BLOCK,
-    BlockSummary,
-    CompiledBlock,
-    summarize_classes,
-)
+from repro.core.pcu import PrivilegeCheckUnit
+from repro.sim import blocks
+from repro.sim.blocks import BRANCH, LOAD, PURE, STORE
 from repro.sim.machine import Machine
-from repro.sim.pipeline import OutOfOrderPipelineModel, StepInfo
+from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
 from .encoding import EncodingError, Instruction, decode
@@ -102,6 +96,19 @@ _ARITH_FN = {
     "xor": operator.xor,
 }
 
+#: Block-member roles (DESIGN §3.18) as ``(role, ender)``: mnemonic
+#: entries first, then the class.  Any other class (string, syscall,
+#: int, iret...) never joins a block.
+_BLOCK_ROLE_BY_MNEMONIC = {
+    "mov_load": (LOAD, False), "mov_store": (STORE, False),
+    "push": (STORE, False), "pop": (LOAD, False),
+    "jmp": (PURE, True), "call": (STORE, True), "ret": (LOAD, True),
+}
+_BLOCK_ROLE_BY_CLASS = {
+    "nop": (PURE, False), "alu": (PURE, False), "mov": (PURE, False),
+    "branch": (BRANCH, True),
+}
+
 #: Conditional-branch predicates over the flag state.
 _JCC_TAKEN = {
     "je": lambda c: c.zf, "jne": lambda c: not c.zf,
@@ -136,8 +143,12 @@ class X86Cpu:
             name: self.isa_map.inst_class(name)
             for name in self.isa_map.inst_class_names
         }
-        # rip -> (inst, bound handler, extra_cycles, needs_ring0,
-        #         special, access).  ``special`` flags the per-step CR4
+        # rip -> (inst, bound handler, size, extra_cycles, needs_ring0,
+        #         special, access).  Handlers share the RISC-V shape
+        #         ``handler(inst, rip, info, extra)`` the block engine
+        #         calls; x86 decodes carry no extra operand (None).
+        #         A truthy return means the handler wrote the pc.
+        #         ``special`` flags the per-step CR4
         #         gates (1 = rdtsc/TSD, 2 = rdpmc/PCE); ``access`` is
         #         the prebuilt plain-check AccessInfo, or None for
         #         handlers that run their own check sequence.
@@ -149,10 +160,6 @@ class X86Cpu:
         # explicit invalidation because the summary is re-proved
         # against the *live* bypass register on every entry.
         self._block_cache: Dict[int, object] = {}
-        # Block formation bakes the O3 timing model into the member
-        # closures, so any other pipeline falls back to the
-        # per-instruction loop.
-        self.blocks_supported = type(machine.pipeline) is OutOfOrderPipelineModel
         machine.attach_cpu(self)
 
     # ------------------------------------------------------------------
@@ -170,13 +177,7 @@ class X86Cpu:
     def set_reg(self, index: int, value: int) -> None:
         self.regs[index] = value & MASK64
 
-    def flush_decode_cache(self) -> None:
-        """Call after writing instruction memory (icache coherence)."""
-        self._decode_cache.clear()
-        if self._block_cache:
-            self._block_cache.clear()
-            if self.pcu is not None:
-                self.pcu.block_stats.invalidations += 1
+    flush_decode_cache = blocks.flush_decode_cache
 
     # ------------------------------------------------------------------
     # Interrupt/trap machinery.
@@ -245,7 +246,7 @@ class X86Cpu:
                 pcu = self.pcu
                 if pcu is not None:
                     info.pcu_stall += pcu.check(access)
-            if not handler(inst, rip, info):
+            if not handler(inst, rip, info, None):
                 self.pc = (rip + size) & MASK64
         except (Trap, PrivilegeFault) as error:
             self._dispatch_fault(error, rip, info)
@@ -274,240 +275,33 @@ class X86Cpu:
             self._vector(VEC_ISA_GRID, rip, info, trap)
 
     # ------------------------------------------------------------------
-    # Block-summary execution (DESIGN §3.18).
+    # Block-engine descriptor (DESIGN §3.18, :mod:`repro.sim.blocks`).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, rip: int, size: int):
-        """Fused member closure: no memory access, no branch predictor."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
+    run_blocks = blocks.run_blocks
+    #: No fetch gate: x86 forms and enters blocks in every mode.
+    _block_fetch_gate = None
+    #: Only block enders write the pc; the executor stores ``end_pc``.
+    BLOCK_HANDLERS_SET_PC = False
 
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, inv=p._inv_width,
-               icf=p.ICACHE_MISS_FACTOR):
-            h(inst, rip, info)
-            f = ai(rip)
-            if f > 2:
-                return inv + (f - 2) * icf
-            return inv
+    @staticmethod
+    def _block_member(entry):
+        """``(handler, inst, extra, size, inst_class, role, ender)`` or None.
 
-        return op
-
-    def _block_op_mem(self, handler, inst, rip: int, size: int, is_store: bool):
-        """Fused member closure for loads/stores (mov/stack/call/ret)."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
-        factor = p.STORE_MISS_FACTOR if is_store else p.LOAD_MISS_FACTOR
-
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, ad=p._access_data,
-               inv=p._inv_width, icf=p.ICACHE_MISS_FACTOR,
-               is_store=is_store, factor=factor):
-            h(inst, rip, info)
-            f = ai(rip)
-            c = inv + (f - 2) * icf if f > 2 else inv
-            d = ad(info.mem_address, is_store)
-            if d > 2:
-                c += (d - 2) * factor
-            return c
-
-        return op
-
-    def _block_op_jcc(self, handler, inst, rip: int, size: int):
-        """Fused member closure for conditional branches."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
-        fall_through = (rip + size) & MASK64
-
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, inv=p._inv_width,
-               icf=p.ICACHE_MISS_FACTOR, stats=p.branch_stats,
-               pu=p._predictor_update, mp=p._mispredict_penalty,
-               cpu=self, fall=fall_through):
-            if not h(inst, rip, info):
-                cpu.pc = fall
-            f = ai(rip)
-            c = inv + (f - 2) * icf if f > 2 else inv
-            stats.predictions += 1
-            if pu(rip, info.branch_taken):
-                stats.mispredictions += 1
-                c += mp
-            return c
-
-        return op
-
-    def _form_block(self, start: int):
-        """Compile a superblock at ``start``, or ``NO_BLOCK``.
-
-        Members are straight-line ring-3-eligible instructions whose
-        only PCU interaction is the plain instruction-class check and
-        whose timing has no serializing component; the first control
-        transfer (branch/call/ret) ends the block as its final member.
-        Everything else — gates, CSR/MSR access, ring-0 instructions,
-        rdtsc/rdpmc, syscall/int/iret, hlt — refuses membership, so a
-        block can never contain a domain switch or privilege edit.
+        Members are straight-line instructions whose only PCU
+        interaction is the plain instruction-class check and whose
+        timing has no serializing component: nop/alu/mov/stack, ended by
+        branch/call/ret.  Gates, CSR/MSR access, ring-0 instructions,
+        rdtsc/rdpmc, syscall/int/iret and hlt are never members.
         """
-        decode_cache = self._decode_cache
-        ops = []
-        pcs = []
-        sizes = []
-        classes = []
-        touches_memory = False
-        sets_pc = False
-        pc = start
-        while len(ops) < MAX_BLOCK_LEN:
-            entry = decode_cache.get(pc)
-            if entry is None:
-                try:
-                    entry = self._decode_entry(pc)
-                except Trap:
-                    # Undecodable tail: executing it live must raise the
-                    # same trap via the reference path, so end the block
-                    # here and do not cache the decode failure.
-                    break
-                decode_cache[pc] = entry
-            inst, handler, size, extra_cycles, needs_ring0, special, access = entry
-            if access is None or needs_ring0 or special or extra_cycles:
-                break
-            cls = inst.inst_class
-            mnemonic = inst.mnemonic
-            ender = False
-            if cls in ("nop", "alu"):
-                op = self._block_op_pure(handler, inst, pc, size)
-            elif cls == "mov":
-                if mnemonic == "mov_load":
-                    op = self._block_op_mem(handler, inst, pc, size, False)
-                    touches_memory = True
-                elif mnemonic == "mov_store":
-                    op = self._block_op_mem(handler, inst, pc, size, True)
-                    touches_memory = True
-                else:
-                    op = self._block_op_pure(handler, inst, pc, size)
-            elif cls == "stack":
-                op = self._block_op_mem(handler, inst, pc, size,
-                                        mnemonic == "push")
-                touches_memory = True
-            elif cls == "branch":
-                ender = True
-                if mnemonic == "jmp":
-                    op = self._block_op_pure(handler, inst, pc, size)
-                else:
-                    op = self._block_op_jcc(handler, inst, pc, size)
-            elif cls == "call":
-                ender = True
-                op = self._block_op_mem(handler, inst, pc, size,
-                                        mnemonic == "call")
-                touches_memory = True
-            else:
-                # string (reserved), syscall/int/iret: never members.
-                break
-            ops.append(op)
-            pcs.append(pc)
-            sizes.append(size)
-            classes.append(access.inst_class)
-            pc = (pc + size) & MASK64
-            if ender:
-                sets_pc = True
-                break
-        if len(ops) < MIN_BLOCK_LEN:
-            return NO_BLOCK
-        summary = BlockSummary(summarize_classes(classes), (), touches_memory)
-        return CompiledBlock(summary, ops, pcs, sizes, pc, sets_pc)
-
-    def run_blocks(self, max_steps: int, mstats, instruction_cycles) -> None:
-        """Hot loop: execute warm blocks under one PCU probe each.
-
-        Called by :meth:`Machine.run` instead of its per-instruction
-        loop when block summaries are enabled.  Any cold/ineligible pc
-        or refused probe falls back to the reference ``step()`` for
-        exactly one instruction, so semantics, cycles and statistics
-        are bit-identical to the per-instruction loop by construction.
-        """
-        blocks = self._block_cache
-        pcu = self.pcu
-        pipeline = self.machine.pipeline
-        step = self.step
-        probe = None if pcu is None else pcu.check_block_summary
-        account = None if pcu is None else pcu.account_block
-        insts = mstats.instructions
-        cyc = mstats.cycles
-        traps = 0
-        remaining = max_steps
-        try:
-            while remaining > 0:
-                pc = self.pc
-                block = blocks.get(pc)
-                if block is None:
-                    block = self._form_block(pc)
-                    blocks[pc] = block
-                if block is not NO_BLOCK and block.n <= remaining:
-                    mode = BLOCK_SILENT if probe is None else probe(block.summary)
-                else:
-                    mode = BLOCK_REFUSED
-                if mode == BLOCK_REFUSED:
-                    # Reference path for one instruction.  Flush the
-                    # stats mirrors first: rdtsc-style reads and trap
-                    # handlers observe them live.
-                    mstats.instructions = insts
-                    mstats.cycles = cyc
-                    info = step()
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    remaining -= 1
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        mstats.halted = True
-                        return
-                    continue
-                ops = block.ops
-                n = block.n
-                isp = pipeline._instructions_since_push
-                i = 0
-                try:
-                    while i < n:
-                        cyc += ops[i]()
-                        i += 1
-                except (Trap, PrivilegeFault) as error:
-                    # Mid-block fault: members [0, i) retired normally;
-                    # the faulting member vectors exactly like step().
-                    insts += i
-                    if isp is not None:
-                        pipeline._instructions_since_push = isp + i
-                    info = StepInfo(block.pcs[i], block.sizes[i])
-                    self._dispatch_fault(error, block.pcs[i], info)
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    traps += 1
-                    remaining -= i + 1
-                    if account is not None:
-                        # The faulting member's check preceded its
-                        # handler on the reference path, so it counts.
-                        account(mode, i + 1)
-                    continue
-                except BaseException:
-                    # e.g. MemoryAccessError escaping the run, as on
-                    # the per-instruction path; attribute the retired
-                    # members before unwinding.  The faulting member's
-                    # check preceded its memory access there, so it
-                    # counts here too.
-                    insts += i
-                    if isp is not None:
-                        pipeline._instructions_since_push = isp + i
-                    if account is not None:
-                        account(mode, i + 1)
-                    raise
-                if isp is not None:
-                    pipeline._instructions_since_push = isp + n
-                insts += n
-                remaining -= n
-                if not block.sets_pc:
-                    self.pc = block.end_pc
-                if account is not None:
-                    account(mode, n)
-        finally:
-            mstats.instructions = insts
-            mstats.cycles = cyc
-            mstats.traps += traps
+        inst, handler, size, extra_cycles, needs_ring0, special, access = entry
+        if access is None or needs_ring0 or special or extra_cycles:
+            return None
+        role = _BLOCK_ROLE_BY_MNEMONIC.get(inst.mnemonic)
+        if role is None:
+            role = _BLOCK_ROLE_BY_CLASS.get(inst.inst_class)
+            if role is None:
+                return None
+        return (handler, inst, None, size, access.inst_class) + role
 
     #: Classes whose only PCU interaction is the plain instruction-class
     #: check; their AccessInfo is prebuilt into the decode entry and the
@@ -600,10 +394,10 @@ class X86Cpu:
     # -- general computation -------------------------------------------
     # (Handlers for classes in _PLAIN_CLASSES rely on the step loop
     # having already performed the plain PCU check.)
-    def _op_nop(self, inst, rip, info):
+    def _op_nop(self, inst, rip, info, extra):
         return False
 
-    def _op_string(self, inst, rip, info):  # pragma: no cover - reserved
+    def _op_string(self, inst, rip, info, extra):  # pragma: no cover - reserved
         return False
 
     def _specialize_mov(self, inst):
@@ -614,15 +408,15 @@ class X86Cpu:
             "mov_store": self._op_mov_store,
         }[inst.mnemonic]
 
-    def _op_mov_imm(self, inst, rip, info):
+    def _op_mov_imm(self, inst, rip, info, extra):
         self.regs[inst.reg] = inst.imm & MASK64
         return False
 
-    def _op_mov_rr(self, inst, rip, info):
+    def _op_mov_rr(self, inst, rip, info, extra):
         self.regs[inst.reg] = self.regs[inst.rm]
         return False
 
-    def _op_mov_load(self, inst, rip, info):
+    def _op_mov_load(self, inst, rip, info, extra):
         address = (self.regs[inst.base] + inst.disp) & MASK64
         self.machine.check_data_access(address, rip)
         self.regs[inst.reg] = self.memory.load(address, 8) & MASK64
@@ -630,7 +424,7 @@ class X86Cpu:
         info.mem_address = address
         return False
 
-    def _op_mov_store(self, inst, rip, info):
+    def _op_mov_store(self, inst, rip, info, extra):
         address = (self.regs[inst.base] + inst.disp) & MASK64
         self.machine.check_data_access(address, rip)
         self.memory.store(address, self.regs[inst.reg], 8)
@@ -652,7 +446,7 @@ class X86Cpu:
         cmp_like = base in ("sub", "cmp")
         writeback = base not in ("cmp", "test")
 
-        def op_arith(inst, rip, info, self=self, fn=fn, use_imm=use_imm,
+        def op_arith(inst, rip, info, extra, self=self, fn=fn, use_imm=use_imm,
                      cmp_like=cmp_like, writeback=writeback):
             r = self.regs
             a = r[inst.rm]
@@ -671,17 +465,17 @@ class X86Cpu:
 
         return op_arith
 
-    def _op_lea(self, inst, rip, info):
+    def _op_lea(self, inst, rip, info, extra):
         self.set_reg(inst.reg, self.regs[inst.base] + inst.disp)
         return False
 
-    def _op_mul(self, inst, rip, info):
+    def _op_mul(self, inst, rip, info, extra):
         product = self.regs[0] * self.regs[inst.rm]
         self.set_reg(0, product)
         self.set_reg(2, product >> 64)
         return False
 
-    def _op_div(self, inst, rip, info):
+    def _op_div(self, inst, rip, info, extra):
         r = self.regs
         divisor = r[inst.rm]
         if divisor == 0:
@@ -692,35 +486,35 @@ class X86Cpu:
         self.set_reg(2, dividend % divisor)
         return False
 
-    def _op_inc(self, inst, rip, info):
+    def _op_inc(self, inst, rip, info, extra):
         result = (self.regs[inst.rm] + 1) & MASK64
         self.regs[inst.rm] = result
         self.zf = result == 0
         return False
 
-    def _op_dec(self, inst, rip, info):
+    def _op_dec(self, inst, rip, info, extra):
         result = (self.regs[inst.rm] - 1) & MASK64
         self.regs[inst.rm] = result
         self.zf = result == 0
         return False
 
-    def _op_neg(self, inst, rip, info):
+    def _op_neg(self, inst, rip, info, extra):
         result = (-self.regs[inst.rm]) & MASK64
         self.regs[inst.rm] = result
         self.zf = result == 0
         self.cf = result != 0
         return False
 
-    def _op_not(self, inst, rip, info):
+    def _op_not(self, inst, rip, info, extra):
         self.regs[inst.rm] = ~self.regs[inst.rm] & MASK64
         return False
 
-    def _op_xchg(self, inst, rip, info):
+    def _op_xchg(self, inst, rip, info, extra):
         r = self.regs
         r[inst.reg], r[inst.rm] = r[inst.rm], r[inst.reg]
         return False
 
-    def _op_shift(self, inst, rip, info):
+    def _op_shift(self, inst, rip, info, extra):
         m = inst.mnemonic
         value = self.regs[inst.rm]
         amount = inst.imm & 63
@@ -744,7 +538,7 @@ class X86Cpu:
         "shl": _op_shift, "shr": _op_shift, "sar": _op_shift,
     }
 
-    def _op_stack(self, inst, rip, info):
+    def _op_stack(self, inst, rip, info, extra):
         r = self.regs
         if inst.mnemonic == "push":
             rsp = (r[4] - 8) & MASK64
@@ -762,7 +556,7 @@ class X86Cpu:
             info.mem_address = rsp
         return False
 
-    def _op_jmp(self, inst, rip, info):
+    def _op_jmp(self, inst, rip, info, extra):
         self.pc = (rip + inst.size + inst.imm) & MASK64
         return True
 
@@ -771,18 +565,18 @@ class X86Cpu:
             return self._op_jmp
         cond = _JCC_TAKEN[inst.mnemonic]
 
-        def op_jcc(inst, rip, info, self=self, cond=cond):
+        # Writes the pc on both outcomes, like every block ender.
+        def op_jcc(inst, rip, info, extra, self=self, cond=cond,
+                   taken_offset=inst.size + inst.imm, size=inst.size):
             info.is_branch = True
             taken = cond(self)
             info.branch_taken = taken
-            if taken:
-                self.pc = (rip + inst.size + inst.imm) & MASK64
-                return True
-            return False
+            self.pc = (rip + (taken_offset if taken else size)) & MASK64
+            return True
 
         return op_jcc
 
-    def _op_call(self, inst, rip, info):
+    def _op_call(self, inst, rip, info, extra):
         r = self.regs
         if inst.mnemonic == "call":
             rsp = (r[4] - 8) & MASK64
@@ -803,7 +597,7 @@ class X86Cpu:
         return True
 
     # -- system entry/exit -----------------------------------------------
-    def _op_syscall(self, inst, rip, info):
+    def _op_syscall(self, inst, rip, info, extra):
         lstar = self.sys.msrs[0xC0000082]
         if not lstar:
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, VEC_GP, pc=rip,
@@ -815,7 +609,7 @@ class X86Cpu:
         self.trap_count += 1
         return True
 
-    def _op_sysret(self, inst, rip, info):
+    def _op_sysret(self, inst, rip, info, extra):
         self._require_ring0(inst, rip)
         self._check_plain(inst, rip, info)
         self.rip = self.regs[1]
@@ -823,24 +617,24 @@ class X86Cpu:
         info.trap_return = True
         return True
 
-    def _op_int(self, inst, rip, info):
+    def _op_int(self, inst, rip, info, extra):
         trap = Trap(TrapKind.SYSCALL, inst.vector, pc=rip)
         self._vector(inst.vector, rip + inst.size, info, trap)
         return True
 
-    def _op_iret(self, inst, rip, info):
+    def _op_iret(self, inst, rip, info, extra):
         self._iret(info)
         return True
 
     # -- system registers -------------------------------------------------
-    def _op_rdtsc(self, inst, rip, info):
+    def _op_rdtsc(self, inst, rip, info, extra):
         self._check_sysreg(inst, rip, info, "tsc", read=True)
         tsc = int(self.machine.stats.cycles)
         self.set_reg(0, tsc & MASK32)
         self.set_reg(2, tsc >> 32)
         return False
 
-    def _op_rdpmc(self, inst, rip, info):
+    def _op_rdpmc(self, inst, rip, info, extra):
         counter = self.regs[1] & 3
         self._check_sysreg(inst, rip, info, "pmc%d" % min(counter, 1), read=True)
         if counter == 0:
@@ -861,7 +655,7 @@ class X86Cpu:
                        message="unimplemented MSR 0x%x" % address)
         return name
 
-    def _op_rdmsr(self, inst, rip, info):
+    def _op_rdmsr(self, inst, rip, info, extra):
         name = self._msr_csr_name(rip)
         self._check_sysreg(inst, rip, info, name, read=True)
         value = self.sys.read_msr(self.regs[1] & MASK32)
@@ -869,7 +663,7 @@ class X86Cpu:
         self.set_reg(2, value >> 32)
         return False
 
-    def _op_wrmsr(self, inst, rip, info):
+    def _op_wrmsr(self, inst, rip, info, extra):
         name = self._msr_csr_name(rip)
         address = self.regs[1] & MASK32
         old = self.sys.read_msr(address)
@@ -878,7 +672,7 @@ class X86Cpu:
         self.sys.write_msr(address, new)
         return False
 
-    def _op_cpuid(self, inst, rip, info):
+    def _op_cpuid(self, inst, rip, info, extra):
         leaf = self.regs[0] & MASK32
         if leaf == 0:
             self.set_reg(0, 0x16)
@@ -899,7 +693,7 @@ class X86Cpu:
 
     _CR_NAMES = {0: "cr0", 2: "cr2", 3: "cr3", 4: "cr4"}
 
-    def _op_mov_cr(self, inst, rip, info):
+    def _op_mov_cr(self, inst, rip, info, extra):
         name = self._CR_NAMES.get(inst.sysreg)
         if name is None:
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, VEC_UD, pc=rip,
@@ -914,7 +708,7 @@ class X86Cpu:
             self.set_reg(inst.rm, getattr(self.sys, name))
         return False
 
-    def _op_mov_dr(self, inst, rip, info):
+    def _op_mov_dr(self, inst, rip, info, extra):
         n = inst.sysreg
         if n in (4, 5):
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, VEC_UD, pc=rip,
@@ -949,87 +743,87 @@ class X86Cpu:
             self.memory.store(address + 8, register.limit, 8)
             info.is_store = True
 
-    def _op_lgdt(self, inst, rip, info):
+    def _op_lgdt(self, inst, rip, info, extra):
         self._dtr_access(inst, rip, info, "gdtr", write=True)
         return False
 
-    def _op_sgdt(self, inst, rip, info):
+    def _op_sgdt(self, inst, rip, info, extra):
         self._dtr_access(inst, rip, info, "gdtr", write=False)
         return False
 
-    def _op_lidt(self, inst, rip, info):
+    def _op_lidt(self, inst, rip, info, extra):
         self._dtr_access(inst, rip, info, "idtr", write=True)
         return False
 
-    def _op_sidt(self, inst, rip, info):
+    def _op_sidt(self, inst, rip, info, extra):
         self._dtr_access(inst, rip, info, "idtr", write=False)
         return False
 
-    def _op_lldt(self, inst, rip, info):
+    def _op_lldt(self, inst, rip, info, extra):
         old = self.sys.ldtr
         new = self.regs[inst.rm] & 0xFFFF
         self._check_sysreg(inst, rip, info, "ldtr", write=True, old=old, new=new)
         self.sys.ldtr = new
         return False
 
-    def _op_ltr(self, inst, rip, info):
+    def _op_ltr(self, inst, rip, info, extra):
         old = self.sys.tr
         new = self.regs[inst.rm] & 0xFFFF
         self._check_sysreg(inst, rip, info, "tr", write=True, old=old, new=new)
         self.sys.tr = new
         return False
 
-    def _op_invlpg(self, inst, rip, info):
+    def _op_invlpg(self, inst, rip, info, extra):
         return False
 
-    def _op_wbinvd(self, inst, rip, info):
+    def _op_wbinvd(self, inst, rip, info, extra):
         self.machine.hierarchy.flush()
         return False
 
-    def _op_in(self, inst, rip, info):
+    def _op_in(self, inst, rip, info, extra):
         self.set_reg(0, 0)
         return False
 
-    def _op_out(self, inst, rip, info):
+    def _op_out(self, inst, rip, info, extra):
         return False
 
-    def _op_cli(self, inst, rip, info):
+    def _op_cli(self, inst, rip, info, extra):
         return False
 
-    def _op_sti(self, inst, rip, info):
+    def _op_sti(self, inst, rip, info, extra):
         return False
 
-    def _op_clts(self, inst, rip, info):
+    def _op_clts(self, inst, rip, info, extra):
         old = self.sys.cr0
         new = old & ~8 & MASK64  # clear CR0.TS
         self._check_sysreg(inst, rip, info, "cr0", write=True, old=old, new=new)
         self.sys.cr0 = new
         return False
 
-    def _op_hlt(self, inst, rip, info):
+    def _op_hlt(self, inst, rip, info, extra):
         self.exit_code = self.regs[0]
         info.halted = True
         return False
 
     # -- protection keys ---------------------------------------------------
-    def _op_rdpkru(self, inst, rip, info):
+    def _op_rdpkru(self, inst, rip, info, extra):
         self._check_sysreg(inst, rip, info, "pkru", read=True)
         self.set_reg(0, self.sys.pkru)
         return False
 
-    def _op_wrpkru(self, inst, rip, info):
+    def _op_wrpkru(self, inst, rip, info, extra):
         old = self.sys.pkru
         new = self.regs[0] & MASK32
         self._check_sysreg(inst, rip, info, "pkru", write=True, old=old, new=new)
         self.sys.pkru = new
         return False
 
-    def _op_rdpkrs(self, inst, rip, info):
+    def _op_rdpkrs(self, inst, rip, info, extra):
         self._check_sysreg(inst, rip, info, "pkrs", read=True)
         self.set_reg(0, self.sys.pkrs)
         return False
 
-    def _op_wrpkrs(self, inst, rip, info):
+    def _op_wrpkrs(self, inst, rip, info, extra):
         old = self.sys.pkrs
         new = self.regs[0] & MASK32
         self._check_sysreg(inst, rip, info, "pkrs", write=True, old=old, new=new)
@@ -1037,20 +831,20 @@ class X86Cpu:
         return False
 
     # -- ISA-Grid cache management ------------------------------------------
-    def _op_pfch(self, inst, rip, info):
+    def _op_pfch(self, inst, rip, info, extra):
         if self.pcu is not None:
             self.pcu.prefetch(self.regs[inst.rm] & 0xFFFF)
         info.extra_cycles = 1
         return False
 
-    def _op_pflh(self, inst, rip, info):
+    def _op_pflh(self, inst, rip, info, extra):
         if self.pcu is not None:
             self.pcu.flush(CacheId(self.regs[inst.rm] & 0x7))
         info.extra_cycles = 1
         return False
 
     # -- gates ---------------------------------------------------------------
-    def _op_gate(self, inst: Instruction, rip: int, info: StepInfo) -> bool:
+    def _op_gate(self, inst: Instruction, rip: int, info: StepInfo, extra) -> bool:
         if self.pcu is None:
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, VEC_UD, pc=rip,
                        message="gate instruction without ISA-Grid")

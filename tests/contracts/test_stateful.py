@@ -160,3 +160,24 @@ class ContractStream(RuleBasedStateMachine):
 TestContractStream = ContractStream.TestCase
 TestContractStream.settings = settings(
     max_examples=20, stateful_step_count=30, deadline=None)
+
+
+def test_nested_begin_starts_a_fresh_transaction():
+    # The shrunk counterexample of a monitor/reference split: a begin
+    # inside an open transaction must drop the unclosed transaction's
+    # buffered reconfigs, so the sync_domain(1) never reaches the gate
+    # contract and the hccall's pre-domain 0 is judged against domain 0.
+    events = [
+        TraceEvent(kind="txn", op="begin"),
+        TraceEvent(kind="reconfig", op="sync_domain", domain=1),
+        TraceEvent(kind="txn", op="begin"),
+        TraceEvent(kind="txn", op="commit"),
+        TraceEvent(kind="gate", op="hccall", gate=0, pre_domain=0,
+                   domain=0, status="ok"),
+    ]
+    monitor = replay_trace([replace(event) for event in events],
+                           geometry=GEOMETRY)
+    counts, unwaived = reference_verdict(events, GEOMETRY)
+    assert monitor.counts() == counts
+    assert monitor.unwaived_violations == unwaived
+    assert counts["gate_only_switches"] == 1
