@@ -3,7 +3,8 @@
 The benchmark harness prints one :class:`Experiment` per paper table or
 figure; EXPERIMENTS.md is the curated collection of these reports.
 Every campaign family (faults, machine faults, churn, attacks) writes
-its JSON report through :func:`campaign_report` and :func:`write_json`.
+its JSON report through :func:`campaign_report` and :func:`write_json`,
+and reports its contract counters through :func:`contract_counters`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .tables import render_table
 
@@ -77,19 +78,62 @@ def campaign_report(
     that order (zero when it never fired); without, the summed counts
     are listed sorted by name.
     """
-    contracts: "Counter[str]" = Counter()
-    for result in results:
-        contracts.update(result.contract_counts)
     payload: Dict[str, object] = {"format": fmt}
     payload.update(head)
-    payload["contract_counts"] = (
-        dict(sorted(contracts.items())) if contract_names is None
-        else {name: contracts.get(name, 0) for name in contract_names})
-    payload["unwaived_contract_violations"] = sum(
-        result.unwaived_contract_violations for result in results)
+    payload.update(contract_counters(results, contract_names))
     payload.update(tail or {})
     payload[units_key] = [unit.to_dict() for unit in units]
     return payload
+
+
+def contract_counters(
+    results: Iterable[object],
+    contract_names: Optional[Sequence[str]] = None,
+) -> Dict[str, object]:
+    """A campaign's contract counters, as its report carries them.
+
+    ``contract_counts`` sums every result's per-contract violations;
+    with ``contract_names`` every contract is listed in that order
+    (zero when it never fired), without, the fired ones sorted by name.
+    ``unwaived_contract_violations`` is the unwaived total.
+    """
+    contracts: "Counter[str]" = Counter()
+    unwaived = 0
+    for result in results:
+        contracts.update(result.contract_counts)
+        unwaived += result.unwaived_contract_violations
+    return {
+        "contract_counts": (
+            dict(sorted(contracts.items())) if contract_names is None
+            else {name: contracts.get(name, 0) for name in contract_names}),
+        "unwaived_contract_violations": unwaived,
+    }
+
+
+def distill_contract_counters(paths: Iterable[str],
+                              out: str) -> Dict[str, object]:
+    """Collect the contract counters of written campaign reports.
+
+    Keyed by report file name; a missing report is skipped.  Writes the
+    result to ``out`` as sorted, indented JSON and returns it, so
+    contract-level trends across many runs stay greppable without the
+    full reports.
+    """
+    counters: Dict[str, object] = {}
+    for path in paths:
+        if not os.path.exists(path):
+            continue
+        with open(path) as handle:
+            report = json.load(handle)
+        counters[os.path.basename(path)] = {
+            "contract_counts": report.get("contract_counts", {}),
+            "unwaived_contract_violations":
+                report.get("unwaived_contract_violations"),
+        }
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with open(out, "w") as handle:
+        json.dump(counters, handle, indent=2, sort_keys=True)
+    return counters
 
 
 def write_json(payload: Dict[str, object], path: str) -> Dict[str, object]:

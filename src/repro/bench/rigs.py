@@ -155,9 +155,13 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
 
     The contract tap (see DESIGN §3.16) must be invisible when armed on
     a healthy run: zero violations, and ``instructions``/``cycles``/
-    hit-rates identical to the unmonitored ``smoke`` rig.  Keeping this
-    rig in the registry makes that claim a perf-trajectory row, so a
-    tap-path slowdown shows up as an ips regression next to ``smoke``.
+    hit-rates identical to the unmonitored ``smoke`` rig.  Blocks stay
+    on under the tap: each warm block reaches the monitor as one
+    compressed check record, judged through its verdict memo, so
+    ``contract_events`` counts the same per-instruction checks either
+    way.  Keeping this rig in the registry makes that claim a
+    perf-trajectory row, so a tap-path slowdown shows up as an ips
+    regression next to ``smoke``.
     """
     import dataclasses
 

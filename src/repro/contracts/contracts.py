@@ -51,7 +51,16 @@ class Contract:
         return csr in self.geometry.get("masked_csrs", ())
 
     def observe(self, event: TraceEvent) -> List[str]:
-        """Judge one event; return problem strings (usually empty)."""
+        """Judge one event; return problem strings (usually empty).
+
+        Invariant every contract keeps: a ``check`` event changes the
+        contract's state only when it also yields a problem (today only
+        :class:`GateOnlySwitchContract` does, when it resyncs).  The
+        monitor's verdict memo relies on it: a plain check judged clean
+        stays clean until a non-check event or a problem arrives, so a
+        warm block whose member checks are all memoized skips the
+        contracts altogether.
+        """
         raise NotImplementedError
 
 

@@ -11,7 +11,7 @@ contract, and each problem a contract reports becomes a
 :class:`ContractViolation` carrying first-violation reproducer context:
 the seed, the campaign id and the event index.
 
-Two pieces of stream discipline keep the shadows honest:
+Three pieces of stream discipline keep the shadows honest:
 
 * **Transaction buffering** — ``reconfig`` events emitted inside an
   open trusted-memory transaction are buffered and only delivered at
@@ -22,6 +22,13 @@ Two pieces of stream discipline keep the shadows honest:
   current descriptors and gate table as synthetic ``reconfig`` events,
   so contracts judge a machine world whose kernel configured domains
   long before monitoring started.
+
+* **Compressed block records** — a warm block the PCU authorizes
+  with one probe reaches :meth:`ContractMonitor.on_block` as one
+  record standing for one plain check per member.  A verdict memo of
+  plain checks already judged clean lets it skip the contracts; any
+  other record expands into the per-member check events, so the
+  stream the contracts judge is the per-instruction one.
 
 Waivers: in a fault campaign an injected fault *should* trip contracts
 — that is the detection working.  A violation is waived when the
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from .contracts import Contract, make_contracts
 from .events import TraceEvent
@@ -102,12 +109,17 @@ class ContractMonitor:
         self._buffer: List[TraceEvent] = []
         self._in_txn = False
         self._txn_touched: Dict[int, int] = {}
+        #: Verdict memo: domain -> instruction classes whose plain
+        #: ``ok`` check every contract judged clean since the last
+        #: state change (see :meth:`on_block`).
+        self._clean: Dict[int, Set[int]] = {}
         self._pcu = None
         self._memory = None
         self._manager = None
 
     # -- configuration and live attachment -----------------------------
     def configure(self, geometry: Dict[str, object]) -> None:
+        self._clean.clear()
         for contract in self.contracts:
             contract.configure(geometry)
 
@@ -200,6 +212,8 @@ class ContractMonitor:
         if self.record:
             self.recorded.append(event)
         kind = event.kind
+        if kind != "check" and self._clean:
+            self._clean.clear()
         if kind == "fault":
             if event.op == "injected":
                 self._armed_detail = event.detail or "injected fault"
@@ -240,6 +254,7 @@ class ContractMonitor:
             problems = contract.observe(event)
             if not problems:
                 continue
+            self._clean.clear()
             waived_by = self._waiver()
             for problem in problems:
                 self.violations.append(ContractViolation(
@@ -272,6 +287,40 @@ class ContractMonitor:
             write=bool(getattr(access, "csr_write", False)),
             value=getattr(access, "write_value", None) or 0,
             old=getattr(access, "old_value", None) or 0))
+
+    def on_block(self, domain: int, summary, retired: int) -> None:
+        """Narrate a warm block's first ``retired`` members.
+
+        One compressed record stands for ``retired`` plain ``ok`` check
+        events in ``domain`` (no CSR, no read or write), one per member
+        class of ``summary`` in order.  When every one of those classes
+        is in the verdict memo for ``domain`` no contract runs: the
+        record only advances the stream position, because an identical
+        check already came out clean and no contract state has changed
+        since (the invariant on :meth:`Contract.observe`; the memo is
+        dropped on every non-check event, on every event that yields a
+        problem, and on :meth:`configure`).  Otherwise — and always
+        when recording, so ``recorded`` stays a per-check stream that
+        :func:`replay_trace` accepts — the record expands into
+        ordinary check events through :meth:`feed`, with exactly the
+        indices, waivers and per-member multiplicity of per-instruction
+        narration.
+        """
+        classes = summary.classes
+        members = summary.class_set
+        if retired != len(classes):
+            classes = members = classes[:retired]
+        memo = self._clean.get(domain)
+        if memo is not None and not self.record and memo.issuperset(members):
+            self._index += retired
+            self.events_seen += retired
+            return
+        violations = self.violations
+        for inst in classes:
+            found = len(violations)
+            self.feed(TraceEvent(kind="check", domain=domain, inst=inst))
+            if len(violations) == found:
+                self._clean.setdefault(domain, set()).add(inst)
 
     def on_gate(self, pcu, kind, gate_id: int, pre_domain: int,
                 status: str) -> None:

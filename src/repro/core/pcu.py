@@ -117,15 +117,16 @@ class PrivilegeCheckUnit:
         # (bypass disabled, armed Draco entries, ``fast_path=False``)
         # forbids block summaries too, plus the dedicated
         # ``block_summaries`` escape hatch.  The *live* conditions
-        # (degraded mode, armed contract tap, shadowed ``check``, cold
-        # or foreign bypass, stale generation) are re-tested on every
-        # probe in :meth:`check_block_summary`.
+        # (degraded mode, shadowed ``check``, cold or foreign bypass,
+        # stale generation) are re-tested on every probe in
+        # :meth:`check_block_summary`.
         self._block_capable = config.block_summaries and self._fast_capable
         self.block_stats = BlockSummaryStats()
         # Contract-monitor tap (repro.contracts, DESIGN §3.16).  ``None``
         # keeps every hot path on its original instruction sequence, so
         # an unmonitored run is bit-identical to pre-tap builds; a
-        # ContractMonitor installs itself here via ``attach``.
+        # ContractMonitor installs itself here via ``attach``.  Warm
+        # blocks stay on under the tap: ``account_block`` narrates them.
         self._tap = None
         # Slot-generation table (domain virtualization, DESIGN §3.17).
         # ``None`` keeps every check path generation-blind (one
@@ -371,15 +372,17 @@ class PrivilegeCheckUnit:
         Refusal is always safe (the CPU falls back to per-instruction
         checks, the reference semantics), so every live condition the
         verdict plan invalidates on refuses here: degraded mode and
-        decompiled plans (``_fast``), an armed contract tap (per-check
-        events must keep their per-instruction cadence), an
-        instance-shadowed ``check`` (the machine campaigns' lockstep
-        monitor must see every call), a recycled tenant slot
-        (generation mismatch — the per-instruction path raises the
-        architectural :class:`StaleGenerationFault`), and a cold or
-        foreign bypass register.  The probe itself never mutates
-        privilege or statistics state beyond :attr:`block_stats`,
-        which is deliberately outside :class:`PcuStats`.
+        decompiled plans (``_fast``), an instance-shadowed ``check``
+        (the machine campaigns' lockstep monitor must see every call),
+        a recycled tenant slot (generation mismatch — the
+        per-instruction path raises the architectural
+        :class:`StaleGenerationFault`), and a cold or foreign bypass
+        register.  An armed contract tap does *not* refuse: the
+        per-instruction check events the block skips are narrated by
+        :meth:`account_block` as one compressed record.  The probe
+        itself never mutates privilege or statistics state beyond
+        :attr:`block_stats`, which is deliberately outside
+        :class:`PcuStats`.
         """
         if not self.enabled:
             return BLOCK_SILENT
@@ -388,7 +391,6 @@ class PrivilegeCheckUnit:
         if (
             not self._block_capable
             or not self._fast
-            or self._tap is not None
             or "check" in self.__dict__
         ):
             block_stats.refusals += 1
@@ -413,23 +415,31 @@ class PrivilegeCheckUnit:
         block_stats.hits += 1
         return BLOCK_BYPASS
 
-    def account_block(self, mode: int, retired: int) -> None:
-        """Replay the counters ``retired`` per-instruction checks would
-        have bumped under ``mode``.
+    def account_block(self, mode: int, retired: int, summary) -> None:
+        """Replay the counters and tap events ``retired`` per-instruction
+        checks would have produced under ``mode``.
 
         Called after the block (or its faulting prefix) executed, with
         the exact retired count, so a mid-block trap accounts the same
         checks the per-instruction path would have run — the check of
         a faulting instruction precedes its handler, so the faulting
-        member itself is included by the caller.
+        member itself is included by the caller.  An armed tap hears
+        the first ``retired`` members of ``summary`` as one compressed
+        record of plain ``ok`` checks; a disabled PCU
+        (:data:`BLOCK_SILENT`) narrates nothing, like :meth:`check`.
         """
+        self.block_stats.insts += retired
         stats = self.stats
         if mode == BLOCK_BYPASS:
             stats.inst_checks += retired
             stats.bypass_hits += retired
         elif mode == BLOCK_DOMAIN0:
             stats.inst_checks += retired
-        self.block_stats.insts += retired
+        else:
+            return
+        tap = self._tap
+        if tap is not None:
+            tap.on_block(self.registers.domain, summary, retired)
 
     def _check_instruction(self, domain: int, access: AccessInfo) -> int:
         if self.config.bypass_enabled:

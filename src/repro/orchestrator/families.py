@@ -112,6 +112,23 @@ def _widening_lines(matrix) -> List[str]:
             for result in matrix.widening_silent]
 
 
+def _contract_line(results) -> str:
+    """The summary line of a campaign's contract counters."""
+    from repro.analysis.report import contract_counters
+    from repro.contracts import CONTRACT_NAMES
+
+    counters = contract_counters(results, CONTRACT_NAMES)
+    return "contract counters: %s  unwaived=%d" % (
+        " ".join("%s=%d" % item
+                 for item in counters["contract_counts"].items()),
+        counters["unwaived_contract_violations"])
+
+
+def _matrix_contract_line(matrices) -> str:
+    return _contract_line([result for matrix in matrices
+                           for result in matrix.results])
+
+
 def _fault_gate(matrices) -> List[str]:
     failures = []
     widening = sum(len(matrix.widening_silent) for matrix in matrices)
@@ -160,6 +177,7 @@ def _faults_summary(matrices) -> List[str]:
                         matrix.contract_violations,
                         matrix.unwaived_contract_violations))
         lines += _widening_lines(matrix)
+    lines.append(_matrix_contract_line(matrices))
     return lines
 
 
@@ -213,6 +231,7 @@ def _machine_summary(matrices) -> List[str]:
                         matrix.contract_violations,
                         matrix.unwaived_contract_violations))
         lines += _widening_lines(matrix)
+    lines.append(_matrix_contract_line(matrices))
     return lines
 
 
@@ -256,6 +275,7 @@ def _churn_summary(matrices) -> List[str]:
                         matrix.slot_exhausted, percentiles["p50"],
                         percentiles["p99"]))
         lines += _widening_lines(matrix)
+    lines.append(_matrix_contract_line(matrices))
     return lines
 
 
@@ -353,6 +373,7 @@ def _attacks_summary(results) -> List[str]:
                  % (payload["scanner_miss_rate"] * 100,
                     payload["pcu_block_rate"] * 100,
                     payload["baseline_missed_pcu_blocked"]))
+    lines.append(_contract_line(results))
     return lines
 
 

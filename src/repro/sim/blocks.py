@@ -9,7 +9,10 @@ generation then costs one
 :meth:`~repro.core.pcu.PrivilegeCheckUnit.check_block_summary` probe
 instead of N per-instruction checks, and its members execute through
 pre-fused closures that fold the work and the pipeline-timing model of
-each instruction into a single call.
+each instruction into a single call.  An armed contract tap keeps
+blocks on: the executor hands each block's summary to
+:meth:`~repro.core.pcu.PrivilegeCheckUnit.account_block`, which tells
+the tap about the retired members as one compressed check record.
 
 Formation (:func:`form_block`), the fused member closures and the
 executor loop (:func:`run_blocks`) are ISA- and pipeline-neutral.  The
@@ -75,6 +78,10 @@ class BlockSummary:
     ``class_words`` holds the inst-bitmap union as sparse
     ``(word_index, bit_mask)`` pairs, matching the bypass register's
     word layout so the probe is one AND-compare per touched word.
+    ``classes`` keeps the members' instruction classes in execution
+    order and ``class_set`` their frozenset: an armed contract tap is
+    told about a warm block as one record standing for one plain check
+    per member (DESIGN §3.16), and judges it against the set.
     ``csrs`` is the tuple of CSR indices the block would access —
     always empty for blocks the CPUs form today (CSR instructions are
     never block members), but carried so the probe can refuse any
@@ -85,21 +92,24 @@ class BlockSummary:
     are enforced per access, not summarized — addresses are dynamic).
     """
 
-    __slots__ = ("class_words", "csrs", "touches_memory")
+    __slots__ = ("class_words", "classes", "class_set", "csrs",
+                 "touches_memory")
 
     def __init__(
         self,
-        class_words: Tuple[Tuple[int, int], ...],
+        classes: Sequence[int],
         csrs: Tuple[int, ...] = (),
         touches_memory: bool = False,
     ):
-        self.class_words = class_words
+        self.classes = tuple(classes)
+        self.class_set = frozenset(self.classes)
+        self.class_words = summarize_classes(self.classes)
         self.csrs = csrs
         self.touches_memory = touches_memory
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "BlockSummary(words=%r, csrs=%r, mem=%r)" % (
-            self.class_words, self.csrs, self.touches_memory
+        return "BlockSummary(classes=%r, csrs=%r, mem=%r)" % (
+            self.classes, self.csrs, self.touches_memory
         )
 
 
@@ -267,7 +277,7 @@ def form_block(cpu, start: int):
             break
     if len(ops) < MIN_BLOCK_LEN:
         return NO_BLOCK
-    summary = BlockSummary(summarize_classes(classes), (), touches_memory)
+    summary = BlockSummary(classes, (), touches_memory)
     return CompiledBlock(summary, ops, pcs, sizes, pc,
                          ender or cpu.BLOCK_HANDLERS_SET_PC)
 
@@ -344,7 +354,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
                 if isp is not None:
                     pipeline._instructions_since_push = isp + i
                 if account is not None:
-                    account(mode, i + 1)
+                    account(mode, i + 1, block.summary)
                 if not isinstance(error, (Trap, PrivilegeFault)):
                     raise
                 # The faulting member vectors exactly like step().
@@ -362,7 +372,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
             if not block.sets_pc:
                 cpu.pc = block.end_pc
             if account is not None:
-                account(mode, n)
+                account(mode, n, block.summary)
     finally:
         mstats.instructions = insts
         mstats.cycles = cyc

@@ -1,4 +1,7 @@
-"""Tables, normalization, experiment reports."""
+"""Tables, normalization, experiment reports, contract counters."""
+
+import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +16,7 @@ from repro.analysis import (
     render_table,
     summarize,
 )
+from repro.analysis.report import contract_counters, distill_contract_counters
 
 
 class TestTables:
@@ -78,3 +82,45 @@ class TestExperimentReport:
         assert "latency" in text
         assert "must be tiny" in text
         assert "cycles" in text
+
+
+class TestContractCounters:
+    RESULTS = [
+        SimpleNamespace(contract_counts={"b": 2, "a": 1},
+                        unwaived_contract_violations=1),
+        SimpleNamespace(contract_counts={"b": 3},
+                        unwaived_contract_violations=0),
+    ]
+
+    def test_named_order_lists_every_contract(self):
+        counters = contract_counters(self.RESULTS, ("c", "b", "a"))
+        assert list(counters["contract_counts"].items()) == [
+            ("c", 0), ("b", 5), ("a", 1)]
+        assert counters["unwaived_contract_violations"] == 1
+
+    def test_unnamed_order_is_sorted_and_sparse(self):
+        counters = contract_counters(self.RESULTS)
+        assert list(counters["contract_counts"].items()) == [
+            ("a", 1), ("b", 5)]
+
+    def test_distillation_keys_reports_by_file_name(self, tmp_path):
+        report = tmp_path / "fault_campaigns_nightly.json"
+        report.write_text(json.dumps(dict(
+            contract_counters(self.RESULTS, ("a", "b")), format="x")))
+        legacy = tmp_path / "old_campaigns_nightly.json"
+        legacy.write_text("{}")
+        out = tmp_path / "results" / "contract_counters_nightly.json"
+        counters = distill_contract_counters(
+            [str(report), str(legacy), str(tmp_path / "missing.json")],
+            str(out))
+        assert counters == {
+            "fault_campaigns_nightly.json": {
+                "contract_counts": {"a": 1, "b": 5},
+                "unwaived_contract_violations": 1,
+            },
+            "old_campaigns_nightly.json": {
+                "contract_counts": {},
+                "unwaived_contract_violations": None,
+            },
+        }
+        assert json.loads(out.read_text()) == counters

@@ -302,11 +302,10 @@ def _unseal_counts(stream, masked) -> List[int]:
     return out
 
 
-def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
-    """Counts per contract plus the unwaived total, independently derived."""
-    stream = normalize(events)
+def _per_contract(stream, geometry) -> Dict[str, List[int]]:
+    """Per-event violation counts of every contract, canonical order."""
     masked = set(geometry.get("masked_csrs", ()))
-    per_contract = {
+    return {
         "inst_retirement": _inst_counts(stream),
         "csr_retirement": _csr_counts(stream, masked),
         "gate_only_switches": _gate_counts(stream),
@@ -316,6 +315,12 @@ def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
         "no_stale_generation": _stale_generation_counts(stream),
         "no_unseal": _unseal_counts(stream, masked),
     }
+
+
+def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
+    """Counts per contract plus the unwaived total, independently derived."""
+    stream = normalize(events)
+    per_contract = _per_contract(stream, geometry)
     counts = {name: sum(rows) for name, rows in per_contract.items()}
     armed = False
     unwaived = 0
@@ -326,3 +331,19 @@ def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
             unwaived += sum(rows[position]
                             for rows in per_contract.values())
     return counts, unwaived
+
+
+def reference_findings(events, geometry) -> List[Tuple[str, int]]:
+    """``(contract, feed index)`` per violation, in delivery order.
+
+    The feed index of an event is its position in ``events``; only
+    buffered reconfigs move in delivery order, and they never violate.
+    """
+    feed_index = {id(event): index for index, event in enumerate(events)}
+    stream = normalize(events)
+    per_contract = _per_contract(stream, geometry)
+    findings: List[Tuple[str, int]] = []
+    for position, event in enumerate(stream):
+        for name, rows in per_contract.items():
+            findings += [(name, feed_index[id(event)])] * rows[position]
+    return findings

@@ -5,8 +5,8 @@ probe protocol: ``check_block_summary`` may only authorize a block when
 N per-instruction checks would all pass with zero stall, and every
 invalidation entry point (``invalidate_privileges`` wide and narrow,
 ``pflh`` flushes, gate switches, degraded mode, tenant slot recycling,
-an armed contract tap, a shadowed ``check``) must make the next probe
-refuse.  The hypothesis state machine then drives a block-capable PCU
+a shadowed ``check``) must make the next probe refuse, while an armed
+contract tap keeps blocks on and hears one check per member.  The hypothesis state machine then drives a block-capable PCU
 and a ``block_summaries=False`` PCU through identical operation storms,
 executing accepted blocks via probe + ``account_block`` on one side and
 per-instruction checks on the other, and requires bit-identical
@@ -35,7 +35,8 @@ from repro.core.pcu import (
     BLOCK_REFUSED,
     BLOCK_SILENT,
 )
-from repro.sim.blocks import BlockSummary, summarize_classes
+from repro.contracts import ContractMonitor
+from repro.sim.blocks import BlockSummary
 
 CLASSES = ["alu", "load", "store", "csr", "sysop", "halt"]
 CSRS = [
@@ -72,7 +73,7 @@ def warm(isa_map, pcu, manager, *, classes=("alu", "load"), at=0x1000):
 
 def summary_of(isa_map, names, csrs=()):
     classes = [isa_map.inst_class(name) for name in names]
-    return BlockSummary(summarize_classes(classes), tuple(csrs))
+    return BlockSummary(classes, tuple(csrs))
 
 
 class TestBlockProbe:
@@ -154,16 +155,56 @@ class TestBlockProbe:
         assert (pcu.check_block_summary(summary_of(isa_map, ["alu"]))
                 == BLOCK_REFUSED)
 
-    def test_armed_tap_refuses(self):
-        # Per-check contract events must keep their per-instruction
-        # cadence; any tap object suffices for the probe's None test.
+    def test_armed_tap_keeps_blocks_and_narrates_each_check(self):
+        # An armed contract tap no longer refuses: the probe authorizes
+        # the warm block, and account_block narrates exactly one plain
+        # ok check per retired member, in member order.
+        isa_map, pcu, manager = build_pcu()
+        domain = warm(isa_map, pcu, manager)
+        monitor = ContractMonitor(seed=0, record=True)
+        monitor.attach(pcu, manager)
+        names = ["alu", "load", "alu", "load"]
+        summary = summary_of(isa_map, names)
+        assert pcu.check_block_summary(summary) == BLOCK_BYPASS
+        for retired in (4, 3):
+            before = monitor.events_seen
+            pcu.account_block(BLOCK_BYPASS, retired, summary)
+            assert monitor.events_seen == before + retired
+            narrated = monitor.recorded[before:]
+            assert [event.to_dict() for event in narrated] == [
+                {"kind": "check", "index": before + offset,
+                 "domain": domain.domain_id,
+                 "inst": isa_map.inst_class(name)}
+                for offset, name in enumerate(names[:retired])]
+        assert monitor.total_violations == 0
+
+    def test_memoized_block_advances_the_stream_only(self):
+        # Without recording, a block whose member checks were already
+        # judged clean costs no contract call but still counts.
         isa_map, pcu, manager = build_pcu()
         warm(isa_map, pcu, manager)
-        summary = summary_of(isa_map, ["alu"])
-        pcu._tap = object()
-        assert pcu.check_block_summary(summary) == BLOCK_REFUSED
-        pcu._tap = None
-        assert pcu.check_block_summary(summary) == BLOCK_BYPASS
+        monitor = ContractMonitor(seed=0)
+        monitor.attach(pcu, manager)
+        summary = summary_of(isa_map, ["alu", "load", "alu"])
+        pcu.account_block(BLOCK_BYPASS, 3, summary)
+        seen = monitor.events_seen
+        for contract in monitor.contracts:
+            contract.observe = None  # any contract call would now fail
+        pcu.account_block(BLOCK_BYPASS, 3, summary)
+        pcu.account_block(BLOCK_BYPASS, 2, summary)
+        assert monitor.events_seen == seen + 5
+        assert monitor._index == seen + 5
+
+    def test_silent_block_narrates_nothing(self):
+        isa_map, pcu, manager = build_pcu()
+        warm(isa_map, pcu, manager)
+        monitor = ContractMonitor(seed=0)
+        monitor.attach(pcu, manager)
+        seen = monitor.events_seen
+        pcu.enabled = False
+        pcu.account_block(BLOCK_SILENT, 3,
+                          summary_of(isa_map, ["alu", "alu", "alu"]))
+        assert monitor.events_seen == seen
 
     def test_shadowed_check_refuses(self):
         # The machine fault campaigns' lockstep monitor shadows
@@ -266,7 +307,7 @@ class TestBlockAccounting:
         isa_map, pcu, manager = build_pcu()
         warm(isa_map, pcu, manager)
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_BYPASS, 7)
+        pcu.account_block(BLOCK_BYPASS, 7, summary_of(isa_map, ["alu"] * 7))
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 7
         assert after.pop("bypass_hits") == before.pop("bypass_hits") + 7
@@ -276,7 +317,7 @@ class TestBlockAccounting:
     def test_domain0_mode_replays_checks_only(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_DOMAIN0, 5)
+        pcu.account_block(BLOCK_DOMAIN0, 5, summary_of(isa_map, ["alu"] * 5))
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 5
         assert after == before
@@ -284,7 +325,7 @@ class TestBlockAccounting:
     def test_silent_mode_touches_nothing_but_block_stats(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_SILENT, 9)
+        pcu.account_block(BLOCK_SILENT, 9, summary_of(isa_map, ["alu"] * 9))
         assert pcu.stats.as_dict() == before
         assert pcu.block_stats.insts == 9
 
@@ -441,7 +482,7 @@ class BlockSummaryLockstep(RuleBasedStateMachine):
                     "probe authorized mode %d but member %r cost %r"
                     % (mode, CLASSES[inst], outcome)
                 )
-            self.blocky.account_block(mode, len(members))
+            self.blocky.account_block(mode, len(members), summary)
         else:
             # Fallback semantics: both worlds run the reference path,
             # stopping at the first fault exactly like the executors.

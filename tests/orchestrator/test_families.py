@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from repro.analysis.report import distill_contract_counters
+from repro.contracts import CONTRACT_NAMES
 from repro.orchestrator import FAMILIES, orchestrate
 
 #: One mini campaign per registered family.
@@ -76,6 +78,31 @@ def test_in_process_and_supervised_runs_are_identical(kind, tmp_path,
         == report_bytes(family, sharded, tmp_path / "sharded.json")
     assert family.summary(serial) == family.summary(sharded)
     assert family.gate(serial) == family.gate(sharded) == []
+
+
+@pytest.mark.parametrize("kind", ["faults", "machine_faults", "churn",
+                                  "attacks"])
+def test_summary_and_distillation_share_the_contract_counters(kind, tmp_path):
+    # The nightly soak distills each written report's counters into one
+    # artifact; the family's summary prints the same counters.
+    family = FAMILIES[kind]
+    report = orchestrate(kind, MINI_PARAMS[kind]).report
+    path = tmp_path / ("%s_campaigns_nightly.json" % kind)
+    family.write(report, str(path))
+    written = json.loads(path.read_text())
+    counters = distill_contract_counters(
+        [str(path)], str(tmp_path / "contract_counters_nightly.json"))
+    assert counters == {path.name: {
+        "contract_counts": written["contract_counts"],
+        "unwaived_contract_violations":
+            written["unwaived_contract_violations"],
+    }}
+    counts = written["contract_counts"]
+    assert family.summary(report)[-1] == (
+        "contract counters: %s  unwaived=%d" % (
+            " ".join("%s=%d" % (name, counts[name])
+                     for name in CONTRACT_NAMES),
+            written["unwaived_contract_violations"]))
 
 
 class TestSabotagedAttackShard:

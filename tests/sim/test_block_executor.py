@@ -8,10 +8,13 @@ bit-identical instructions, cycles, traps, architectural registers and
 gate-stress kernel workload through all three modes, exercises the
 mid-block fault and escaping-exception paths, and pins the escape
 hatches (``PcuConfig(block_summaries=False)``, the
-``Machine.block_summaries`` flag, step hooks, an attached contract
-monitor) that must keep the reference path in charge.  Every executor
-case in :class:`BlockExecutorCases` runs on both backends; RISC-V's
-fetch gate (no blocks under Sv39 translation) has its own case.
+``Machine.block_summaries`` flag, step hooks) that must keep the
+reference path in charge.  An attached contract monitor keeps blocks
+on, and must hear exactly the per-instruction event stream: warm
+blocks, mid-block traps and stale-bypass revocations alike.  Every
+executor case in :class:`BlockExecutorCases` runs on both backends;
+RISC-V's fetch gate (no blocks under Sv39 translation) has its own
+case.
 """
 
 import dataclasses
@@ -119,8 +122,9 @@ entry:
     halt
 """
 
-# mov/mov/add/div is one straight-line block; the div faults at member
-# 3 and vectors through the IDT.  The handler leaves 99 in rdi.
+# mov/mov/add/div/add is one straight-line block; the div faults at
+# member 3, before the block's last member, and vectors through the
+# IDT.  The handler leaves 99 in rdi.
 X86_TRAP = """
 entry:
     mov rsp, 0x6e0000
@@ -137,6 +141,7 @@ entry:
     mov rbx, 0
     add rax, 4
     div rbx
+    add rax, 1
     hlt
 handler:
     mov rdi, 99
@@ -144,8 +149,8 @@ handler:
 """ % (IDT_BASE, 8 * VEC_UD, IDT_BASE)
 
 # The gate enters domain "all", where the block's member load of a
-# trusted-region word raises TrustedMemoryFault and vectors through
-# stvec.  The handler leaves 99 in a0.
+# trusted-region word raises TrustedMemoryFault before the block's last
+# member and vectors through stvec.  The handler leaves 99 in a0.
 RISCV_TRAP = """
 entry:
     la t0, handler
@@ -159,6 +164,7 @@ in_domain:
     addi t2, t2, 3
     li t1, %d
     ld a1, 0(t1)
+    addi t2, t2, 4
     halt
 handler:
     li a0, 99
@@ -192,6 +198,39 @@ in_domain:
 """ % RISCV_TRUSTED_BASE
 
 
+# Enter domain "all" through gate 0 and spin on an alu-heavy block
+# forever; the stale-bypass cases run it for a fixed step budget.
+X86_DOMAIN_SPIN = """
+entry:
+    mov r10, 0
+gate:
+    hccall r10
+in_domain:
+    mov rax, 1
+loop:
+    add rax, 1
+    add rax, 2
+    add rax, 3
+    and rax, 0xFFFF
+    jmp loop
+"""
+
+RISCV_DOMAIN_SPIN = """
+entry:
+    li t0, 0
+gate:
+    hccall t0
+in_domain:
+    li t1, 1
+loop:
+    addi t1, t1, 1
+    addi t1, t1, 2
+    addi t1, t1, 3
+    andi t1, t1, 0x7FF
+    j loop
+"""
+
+
 def enter_domain_at_gate(system, program, domain):
     system.manager.register_gate(program.symbol("gate"),
                                  program.symbol("in_domain"),
@@ -208,6 +247,7 @@ class Backend:
     escaping: str
     trap: str
     panic: str
+    domain_spin: str
     #: Register the trap handler leaves 99 in.
     trap_reg: int
     #: Extra wiring after loading the trap program, or None.
@@ -215,10 +255,12 @@ class Backend:
 
 
 X86 = Backend(build_x86_system, x86_assemble, X86_BASE, X86_LOOP,
-              X86_SPIN, X86_ESCAPING, X86_TRAP, X86_PANIC, trap_reg=7)
+              X86_SPIN, X86_ESCAPING, X86_TRAP, X86_PANIC, X86_DOMAIN_SPIN,
+              trap_reg=7)
 RISCV = Backend(build_riscv_system, riscv_assemble, RISCV_BASE, RISCV_LOOP,
                 RISCV_SPIN, RISCV_ESCAPING, RISCV_TRAP, RISCV_PANIC,
-                trap_reg=10, trap_setup=enter_domain_at_gate)
+                RISCV_DOMAIN_SPIN, trap_reg=10,
+                trap_setup=enter_domain_at_gate)
 
 
 def load(backend, config, source, setup=None):
@@ -236,6 +278,17 @@ def run(backend, config, source=None, *, max_steps=100_000, setup=None):
     system, program = load(backend, config, source or backend.loop, setup)
     system.run(program.symbol("entry"), max_steps=max_steps)
     return system
+
+
+def monitor(system, record=True):
+    monitor = ContractMonitor(seed=0, record=record)
+    monitor.attach(system.pcu, system.manager)
+    return monitor
+
+
+def findings(monitor):
+    return [(violation.contract, violation.index, violation.detail,
+             violation.waived) for violation in monitor.violations]
 
 
 def snapshot(system):
@@ -279,6 +332,63 @@ class BlockExecutorCases:
         assert snapshot(blocky) == snapshot(off)
         assert blocky.machine.stats.traps == 1
         assert blocky.pcu.block_stats.insts > 0
+
+    def test_monitored_trap_inside_a_block_keeps_the_stream(self):
+        # Under an armed tap the faulting member's block prefix is
+        # narrated before the trap vectors: the recorded stream, the
+        # stream position of the dispatch and the findings match the
+        # per-instruction run exactly.
+        backend = self.backend
+        runs = []
+        for config in (CONFIG_8E, BLOCK_OFF):
+            system, program = load(backend, config, backend.trap,
+                                   backend.trap_setup)
+            watcher = monitor(system)
+            cpu = system.cpu
+            dispatch = cpu._dispatch_fault
+            positions = []
+            cpu._dispatch_fault = lambda *args: (
+                positions.append(len(watcher.recorded)) or dispatch(*args))
+            system.run(program.symbol("entry"))
+            assert cpu.regs[backend.trap_reg] == 99
+            runs.append(([event.to_dict() for event in watcher.recorded],
+                         positions, findings(watcher), snapshot(system)))
+            if config is CONFIG_8E:
+                assert system.pcu.block_stats.insts > 0
+        assert runs[0] == runs[1]
+        stream, positions, _, _ = runs[0]
+        assert len(positions) == 1
+        assert stream[positions[0] - 1]["kind"] == "check"
+        assert positions[0] < len(stream)  # the handler's checks follow
+
+    def test_monitored_stale_bypass_reports_identically(self):
+        # Revoke "alu" with its invalidation sweep dropped (as the
+        # fault injector's drop_invalidate does): the warm bypass keeps
+        # authorizing the revoked class, and every block member retired
+        # on it must surface as the same coherence_after_revoke finding
+        # as on the per-instruction path.
+        backend = self.backend
+        runs = []
+        for config in (CONFIG_8E, BLOCK_OFF):
+            system, program = load(backend, config, backend.domain_spin,
+                                   enter_domain_at_gate)
+            watcher = monitor(system, record=False)
+            pcu, machine = system.pcu, system.machine
+            system.cpu.pc = program.symbol("entry")
+            machine.run(200, require_halt=False)
+            pcu.invalidate_privileges = lambda *args, **kwargs: None
+            system.manager.deny_instruction(
+                system.manager.domain_id("all"), "alu")
+            del pcu.invalidate_privileges
+            machine.run(200, require_halt=False)
+            runs.append((findings(watcher), watcher.events_seen,
+                         snapshot(system)))
+            if config is CONFIG_8E:
+                assert pcu.block_stats.hits > 0
+        assert runs[0] == runs[1]
+        stale = [row for row in runs[0][0]
+                 if row[0] == "coherence_after_revoke"]
+        assert len(stale) > 50
 
     def test_escaping_exception_inside_a_block(self):
         # An out-of-range load escapes the run on the reference path;
@@ -487,19 +597,30 @@ class TestKernelWorkloadIdentity:
             assert observed == reference, "mode %r diverged" % (key,)
         assert results[True, True][1].system.pcu.block_stats.hits > 0
 
-    def test_attached_monitor_forces_per_instruction_cadence(self):
-        # An armed contract tap must see every check: probes refuse,
-        # and the monitored event stream is identical with blocks
-        # configured on or off.
-        monitors = []
-        for config in (CONFIG_8E, BLOCK_OFF):
+    @pytest.mark.parametrize("kernel_class,user_program", [
+        (X86Kernel, x86_user_program),
+        (RiscvKernel, riscv_user_program),
+    ], ids=["x86", "riscv"])
+    def test_monitor_hears_the_check_stream(
+            self, kernel_class, user_program):
+        # An armed contract tap keeps blocks on: each warm block reaches
+        # the monitor as one compressed record, which a recording
+        # monitor expands into exactly the per-instruction check events.
+        runs = []
+        for block_summaries in (True, False):
             profile = dataclasses.replace(GATE_STRESS,
                                           outer_iterations=self.ITERATIONS)
-            kernel = X86Kernel("decomposed", config)
-            monitor = ContractMonitor(seed=0)
-            monitor.attach(kernel.system.pcu, kernel.system.manager)
-            kernel.run(x86_user_program(profile), max_steps=self.MAX_STEPS)
-            assert kernel.system.pcu.block_stats.hits == 0
-            assert monitor.total_violations == 0
-            monitors.append(monitor)
-        assert monitors[0].events_seen == monitors[1].events_seen > 0
+            kernel = kernel_class("decomposed", CONFIG_8E)
+            kernel.system.machine.block_summaries = block_summaries
+            watcher = monitor(kernel.system)
+            kernel.run(user_program(profile), max_steps=self.MAX_STEPS)
+            runs.append((kernel, watcher))
+        (blocky, on), (plain, off) = runs
+        assert blocky.system.pcu.block_stats.hits > 0
+        assert plain.system.pcu.block_stats.probes == 0
+        assert ([event.to_dict() for event in on.recorded]
+                == [event.to_dict() for event in off.recorded])
+        assert findings(on) == findings(off)
+        assert on.events_seen == off.events_seen == len(on.recorded) > 0
+        assert on.total_violations == 0
+        assert blocky.system.pcu.stats.as_dict() == plain.system.pcu.stats.as_dict()
